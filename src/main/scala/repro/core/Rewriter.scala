@@ -14,9 +14,11 @@ package repro.core
   *     for each downstream `u`;
   *  3. links every remaining user window directly to Union.
   *
-  * `repro.exec.Executor` implements the same dataflow operationally (with
-  * persistence playing the MultiCast role); this module exists so the
-  * rewriting itself is inspectable and testable as the paper states it.
+  * `repro.exec.Executor` implements the same dataflow operationally: one
+  * exchange on the key, then one explode and aggregation per forest level,
+  * where each window's rows fan out to all its children (the MultiCast
+  * role). This module exists so the rewriting itself is inspectable and
+  * testable as the paper states it.
   */
 object Rewriter {
 

@@ -54,24 +54,22 @@ object RuntimeHarness {
     }
 
     var blRows: Map[String, Double] = null
-    val timings = Seq(
+    // Only this harness's own input is unpersisted: the caller's caches stay.
+    val timings = try Seq(
       time("BL", blCost) {
         blRows = keyed(Executor.baseline(events, windows, agg)); blRows.size.toLong
       },
       time("WCG", planA1.totalCost) {
-        val got = keyed(Executor.rewritten(events, planA1, agg, persistShared = true))
+        val got = keyed(Executor.rewritten(events, planA1, agg))
         assertSame(got, blRows, "WCG")
-        Executor.unpersistAll(events)
         got.size.toLong
       },
       time("WCG-FW", planA2.totalCost) {
-        val got = keyed(Executor.rewritten(events, planA2, agg, persistShared = true))
+        val got = keyed(Executor.rewritten(events, planA2, agg))
         assertSame(got, blRows, "WCG-FW")
-        Executor.unpersistAll(events)
         got.size.toLong
       },
-    )
-    events.unpersist()
+    ) finally events.unpersist()
 
     val sb = new StringBuilder
     sb ++= s"== $title  (agg=${agg.name}, events=$nEvents, horizon=$horizon, eta≈$eta) ==\n"

@@ -1,8 +1,7 @@
 package repro.exec
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
-import org.apache.spark.storage.StorageLevel
 import repro.core.{Window, WcgPlan}
 
 /** Names of the event-stream columns: integer event time `t` (in abstract
@@ -19,8 +18,10 @@ final case class EventCols(t: String = "t", k: String = "k", v: String = "v")
   * This is the query-rewriting layer of §3.3: both plans are compositions
   * of ordinary DataFrame operators (explode-based instance assignment +
   * groupBy/agg), so no engine change is involved — exactly the paper's
-  * claim. Shared intermediate nodes are optionally persisted, which is the
-  * batch analogue of the `Multicast` operator.
+  * claim. The rewritten plan runs the whole forest behind one exchange on
+  * `k`, then one explode and one aggregation per forest level; each node's
+  * rows fan out to all its children, which is the batch form of the
+  * `Multicast` operator.
   *
   * Output schema: `(w_r, w_s, k, wstart, value)` — one row per window per
   * key per instance that saw at least one event.
@@ -76,40 +77,86 @@ object Executor {
       .reduce(_.unionAll(_))
   }
 
-  /** Rewritten plan: walk the min-cost WCG forest in dataflow order — roots
-    * from the raw stream, every other window from its parent's
-    * sub-aggregates; union the finalized user windows (right side of
-    * Figure 2(a)). Factor windows participate but are not exposed.
+  /** Rewritten plan: the whole min-cost WCG forest behind one exchange on
+    * `k`, evaluated level by level (right side of Figure 2(a)).
     *
-    * @param persistShared persist sub-aggregate nodes read more than once
-    *                      (Multicast); callers should `unpersistAll` after
-    *                      consuming the result when set.
+    *  - The events are hash-partitioned once on `k`, into the session's
+    *    `spark.sql.shuffle.partitions` partitions. That partitioning
+    *    satisfies every later `groupBy(k, node, wstart)` and survives the
+    *    explodes, projections and aggregations, so the plan is one linear
+    *    chain with one exchange.
+    *  - Level 0 explodes each event into its `(node, wstart)` instances of
+    *    every root window at once and aggregates by `(k, node, wstart)`.
+    *  - Level d explodes each row of level d − 1 into the instances of its
+    *    children, and aggregates again. A user window also passes itself
+    *    through unchanged, so the last level holds exactly the user
+    *    windows; `node` then maps back to `(w_r, w_s)`.
+    *
+    * Every WCG node is aggregated exactly once and its sub-aggregates fan
+    * out to all its children from the same rows: this is the `Multicast` of
+    * §3.3. Factor windows participate but are not exposed.
     */
   def rewritten(events: DataFrame, plan: WcgPlan, agg: AggSpec,
-                cols: EventCols = EventCols(),
-                persistShared: Boolean = false): DataFrame = {
+                cols: EventCols = EventCols()): DataFrame = {
     require(plan.semantics == agg.semantics,
       s"plan built for ${plan.semantics} but ${agg.name} needs ${agg.semantics}")
-    val userSet = plan.userWindows.toSet
-    val subAggs = scala.collection.mutable.Map.empty[Window, DataFrame]
-    plan.topological.foreach { w =>
-      val df = plan.parent(w) match {
-        case None     => subAggFromEvents(events, w, agg, cols)
-        case Some(up) => subAggFromUpstream(subAggs(up), up, w, agg)
-      }
-      val fanOut = plan.childrenOf(w).size + (if (userSet.contains(w)) 1 else 0)
-      subAggs(w) =
-        if (persistShared && fanOut > 1) df.persist(StorageLevel.MEMORY_AND_DISK)
-        else df
+    val nodes = plan.topological
+    val id = nodes.zipWithIndex.toMap
+    val depth = nodes.foldLeft(Map.empty[Window, Int]) { (d, w) =>
+      d + (w -> plan.parent(w).fold(0)(d(_) + 1))
     }
-    plan.userWindows
-      .map(w => finish(subAggs(w), w, agg))
-      .reduce(_.unionAll(_))
+    val partitions = events.sparkSession.conf.get("spark.sql.shuffle.partitions").toInt
+
+    def aggregate(df: DataFrame, tagged: Column, st: Column): DataFrame =
+      df.select(col("k"), inline(tagged), st.as("st0"))
+        .groupBy(col("k"), col("node"), col("wstart"))
+        .agg(agg.merge(col("st0")).as("st"))
+
+    val keyed = events
+      .select(col(cols.k).as("k"), col(cols.t).as("t"), agg.lift(col(cols.v)).as("st0"))
+      .repartition(partitions, col("k"))
+    val level0 = aggregate(keyed,
+      concatTagged(plan.roots.map(w => tagged(col("t"), col("t") + 1, w, id(w)))), col("st0"))
+
+    val self = array(struct(col("node"), col("wstart")))
+    val last = (1 to depth.values.max).foldLeft(level0) { (up, d) =>
+      val parents = nodes.filter(w => depth(w) == d - 1 && plan.childrenOf(w).nonEmpty)
+      val fanOut = byNode(id, parents.map { w =>
+        val children = plan.childrenOf(w)
+          .map(c => tagged(col("wstart"), col("wstart") + w.r, c, id(c)))
+        w -> concatTagged(if (plan.userWindows.contains(w)) children :+ self else children)
+      })
+      aggregate(up, fanOut.otherwise(self), col("st"))
+    }
+
+    last.select(
+      byNode(id, plan.userWindows.map(w => w -> lit(w.r))).as("w_r"),
+      byNode(id, plan.userWindows.map(w => w -> lit(w.s))).as("w_s"),
+      col("k"),
+      col("wstart"),
+      agg.finish(col("st")).cast("double").as("value"))
   }
 
-  /** Drop every persisted intermediate of this session (after a
-    * `persistShared = true` run).
+  /** `CASE node WHEN id(w) THEN value … END` over the `(w, value)` branches. */
+  private def byNode(id: Map[Window, Int], branches: Seq[(Window, Column)]): Column =
+    branches.tail.foldLeft(when(col("node") === id(branches.head._1), branches.head._2)) {
+      case (c, (w, value)) => c.when(col("node") === id(w), value)
+    }
+
+  private val TaggedType = "array<struct<node:int,wstart:bigint>>"
+
+  /** The instances of `w` (node id `node`) whose interval contains the span
+    * `[u, v)`, each as a `(node, wstart)` struct; the same instance set as
+    * `WindowAssign.instanceStarts`, tagged in the one `transform`.
     */
-  def unpersistAll(events: DataFrame): Unit =
-    events.sparkSession.sharedState.cacheManager.clearCache()
+  private def tagged(u: Column, v: Column, w: Window, node: Int): Column = {
+    val mLo = greatest(lit(0L), WindowAssign.ceilDiv(v - w.r, w.s))
+    val mHi = WindowAssign.floorDiv(u, w.s)
+    when(mHi >= mLo,
+      transform(sequence(mLo, mHi), m => struct(lit(node).as("node"), (m * w.s).as("wstart"))))
+      .otherwise(array().cast(TaggedType))
+  }
+
+  private def concatTagged(arrays: Seq[Column]): Column =
+    if (arrays.size == 1) arrays.head else concat(arrays: _*)
 }

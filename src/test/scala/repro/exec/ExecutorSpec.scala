@@ -1,7 +1,11 @@
 package repro.exec
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.execution.GenerateExec
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.sql.functions._
+import org.apache.spark.storage.StorageLevel
 import repro.{Oracle, SparkSpec, SynthData}
 import repro.core._
 import repro.gen.WindowGen
@@ -12,6 +16,9 @@ import repro.gen.WindowGen
   * baseline itself is checked against DuckDB.
   */
 class ExecutorSpec extends SparkSpec {
+
+  /** Reads the final adaptive plan after an action ran. */
+  private object AqePlan extends AdaptiveSparkPlanHelper
 
   private val ex1 = Seq(10L, 20L, 30L, 40L).map(Window.tumbling)
   private val ex7 = Seq(20L, 30L, 40L).map(Window.tumbling)
@@ -173,13 +180,86 @@ class ExecutorSpec extends SparkSpec {
       Executor.rewritten(events(), plan, AggSpec.Sum))
   }
 
-  test("persistShared executes identically and caches shared nodes") {
+  test("rewritten leaves the caller's persisted events cached") {
     val plan = FactorWindows.minCostPlanWithFactors(ex7, Semantics.CoveredBy, 100)
+    val ev = events().persist(StorageLevel.MEMORY_ONLY)
+    try {
+      ev.count()
+      Executor.rewritten(ev, plan, AggSpec.Min).collect()
+      assert(ev.storageLevel == StorageLevel.MEMORY_ONLY, "caller's input was unpersisted")
+    } finally ev.unpersist(blocking = true)
+  }
+
+  // ---- plan shape: one exchange, one explode per forest level -------------
+
+  private def depthOf(plan: WcgPlan): Int = {
+    def d(w: Window): Int = plan.parent(w).fold(0)(d(_) + 1)
+    plan.allWindows.map(d).max
+  }
+
+  private def assertOneExchangePerForest(windows: Seq[Window], agg: AggSpec): Unit = {
+    val plan = FactorWindows.minCostPlanWithFactors(windows, agg.semantics, 100)
+    assert(depthOf(plan) >= 1, s"plan too shallow to test: ${plan.parent}")
+    val df = Executor.rewritten(events(3000, 480), plan, agg)
+    df.collect()
+    val executed = AqePlan.stripAQEPlan(df.queryExecution.executedPlan)
+    val exchanges = AqePlan.collect(executed) { case e: ShuffleExchangeExec => e }
+    val generates = AqePlan.collect(executed) { case g: GenerateExec => g }
+    assert(exchanges.size == 1, s"expected one exchange:\n$executed")
+    assert(generates.size == depthOf(plan) + 1, s"expected one explode per level:\n$executed")
+  }
+
+  test("Example 7 with factor windows runs behind one exchange, one explode per level") {
+    assertOneExchangePerForest(ex7, AggSpec.Sum)
+  }
+
+  test("hopping factor-window plan runs behind one exchange, one explode per level") {
+    assertOneExchangePerForest(Seq(Window(40, 10), Window(80, 20), Window(120, 40)), AggSpec.Min)
+  }
+
+  // ---- forest shapes and column names --------------------------------------
+
+  test("a plan without WCG edges (depth 0): rewritten == baseline, all aggregates") {
+    val ws = Seq(Window.tumbling(7), Window(10, 5))
+    AggSpec.all.foreach { agg =>
+      val plan = CostModel.minCostPlan(ws, agg.semantics, 100)
+      assert(depthOf(plan) == 0 && plan.factorWindows.isEmpty)
+      assertSameResults(Executor.baseline(events(), ws, agg),
+        Executor.rewritten(events(), plan, agg), s"depth 0 (agg=${agg.name})")
+    }
+  }
+
+  test("a forest of two roots with different depths: rewritten == baseline, all aggregates") {
+    val ws = Seq(6L, 12L, 24L, 7L, 14L).map(Window.tumbling)
+    AggSpec.all.foreach { agg =>
+      val plan = CostModel.minCostPlan(ws, agg.semantics, 100)
+      assert(plan.roots.toSet == Set(Window.tumbling(6), Window.tumbling(7)))
+      assert(plan.parent(Window.tumbling(24)).contains(Window.tumbling(12)))
+      assertSameResults(Executor.baseline(events(), ws, agg),
+        Executor.rewritten(events(), plan, agg), s"two roots (agg=${agg.name})")
+    }
+  }
+
+  test("a user window passed through two levels: rewritten == baseline, all aggregates") {
+    val ws = Seq(5L, 10L, 20L).map(Window.tumbling)
+    AggSpec.all.foreach { agg =>
+      val plan = CostModel.minCostPlan(ws, agg.semantics, 100)
+      assert(plan.roots == Vector(Window.tumbling(5)) && depthOf(plan) == 2)
+      assertSameResults(Executor.baseline(events(), ws, agg),
+        Executor.rewritten(events(), plan, agg), s"pass-through (agg=${agg.name})")
+    }
+  }
+
+  test("custom event column names, including the plan's own column names") {
     val ev = events()
-    val a = Executor.rewritten(ev, plan, AggSpec.Min)
-    val b = Executor.rewritten(ev, plan, AggSpec.Min, persistShared = true)
-    assertSameResults(a, b, "persistShared")
-    Executor.unpersistAll(ev)
+    val plan = FactorWindows.minCostPlanWithFactors(ex7, Semantics.PartitionedBy, 100)
+    val want = Executor.baseline(ev, ex7, AggSpec.Avg)
+    Seq(EventCols("ts", "dev", "val"), EventCols("wstart", "node", "st"),
+        EventCols("k", "t", "v")).foreach { c =>
+      val renamed = ev.select(col("t").as(c.t), col("k").as(c.k), col("v").as(c.v))
+      assertSameResults(want, Executor.baseline(renamed, ex7, AggSpec.Avg, c), s"baseline $c")
+      assertSameResults(want, Executor.rewritten(renamed, plan, AggSpec.Avg, c), s"rewritten $c")
+    }
   }
 
   test("output schema is (w_r, w_s, k, wstart, value)") {
