@@ -98,11 +98,7 @@ object CostModel {
       val used = alive.values.flatten.toSet
       val dead = factorV.filter(f => alive.contains(f) && !used.contains(f))
       changed = dead.nonEmpty
-      if (changed) {
-        alive = (alive -- dead).map { case (w, p) =>
-          w -> p.filterNot(dead.contains) // cannot happen (dead are leaves) but keep total
-        }
-      }
+      alive = alive -- dead
     }
 
     WcgPlan(userV, factorV.filter(alive.contains), alive, semantics, eta, bigR)

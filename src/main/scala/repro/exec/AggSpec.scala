@@ -5,7 +5,7 @@ import org.apache.spark.sql.functions._
 import repro.core.Semantics
 
 /** A window aggregate in the distributive/algebraic form of §3.1 (Gray et
-  * al.'s taxonomy), expressed as Spark column algebra:
+  * al.'s taxonomy), in two forms of the same algebra. As Spark columns:
   *
   *  - `lift` turns an event value into a sub-aggregate state (an event is a
   *    singleton sub-aggregate);
@@ -14,6 +14,11 @@ import repro.core.Semantics
   *  - `finish` maps a state to the user-visible result (the function `h`;
   *    identity for distributive aggregates).
   *
+  * As scalars, over an [[AggSpec.State]] `(value, count)`: `lift` of one
+  * value, `merge` of two states (`g` on the values, counts added) and
+  * `finish` (`h`). The in-memory slicer (`repro.slicing.SliceExec`) runs
+  * this form.
+  *
   * `semantics` is the WCG relation the aggregate admits (footnote 5):
   * MIN/MAX remain distributive over *overlapping* covers (Theorem 6) and
   * use "covered by"; SUM/COUNT/AVG need disjoint partitions ("partitioned
@@ -21,17 +26,30 @@ import repro.core.Semantics
   * are out of scope, as in the paper.
   */
 sealed abstract class AggSpec(val name: String, val semantics: Semantics) {
+  import AggSpec.State
+
   def lift(v: Column): Column
   def merge(st: Column): Column
   def finish(st: Column): Column
+
+  /** `g` on the value component of two scalar states. */
+  protected def g(a: Double, b: Double): Double
+
+  def lift(v: Double): State = (v, 1L)
+  def merge(a: State, b: State): State = (g(a._1, b._1), a._2 + b._2)
+  def finish(st: State): Double = st._1
 }
 
 object AggSpec {
+  /** Scalar sub-aggregate state: the merged value and the event count. */
+  type State = (Double, Long)
+
   /** MIN — distributive, tolerant of overlapping covers (Theorem 6). */
   case object Min extends AggSpec("min", Semantics.CoveredBy) {
     def lift(v: Column): Column = v
     def merge(st: Column): Column = min(st)
     def finish(st: Column): Column = st
+    protected def g(a: Double, b: Double): Double = math.min(a, b)
   }
 
   /** MAX — distributive, tolerant of overlapping covers (Theorem 6). */
@@ -39,6 +57,7 @@ object AggSpec {
     def lift(v: Column): Column = v
     def merge(st: Column): Column = max(st)
     def finish(st: Column): Column = st
+    protected def g(a: Double, b: Double): Double = math.max(a, b)
   }
 
   /** SUM — distributive, requires disjoint partitions. */
@@ -46,6 +65,7 @@ object AggSpec {
     def lift(v: Column): Column = v
     def merge(st: Column): Column = sum(st)
     def finish(st: Column): Column = st
+    protected def g(a: Double, b: Double): Double = a + b
   }
 
   /** COUNT — distributive with `g = SUM`, requires disjoint partitions. */
@@ -53,6 +73,8 @@ object AggSpec {
     def lift(v: Column): Column = lit(1L)
     def merge(st: Column): Column = sum(st)
     def finish(st: Column): Column = st
+    protected def g(a: Double, b: Double): Double = a + b
+    override def lift(v: Double): State = (1.0, 1L)
   }
 
   /** AVG — algebraic: state is (sum, count), finished by division. */
@@ -61,6 +83,8 @@ object AggSpec {
     def merge(st: Column): Column =
       struct(sum(st.getField("s")).as("s"), sum(st.getField("c")).as("c"))
     def finish(st: Column): Column = st.getField("s") / st.getField("c")
+    protected def g(a: Double, b: Double): Double = a + b
+    override def finish(st: State): Double = st._1 / st._2
   }
 
   val all: Seq[AggSpec] = Seq(Min, Max, Sum, Count, Avg)

@@ -57,14 +57,22 @@ object Executor {
       .groupBy(col("k"), col("wstart2").as("wstart"))
       .agg(agg.merge(col("st")).as("st"))
 
-  /** Finalize a sub-aggregate DataFrame of `w` into the output schema. */
-  def finish(df: DataFrame, w: Window, agg: AggSpec): DataFrame =
+  /** The output schema `(w_r, w_s, k, wstart, value)` of a frame of
+    * sub-aggregate states `st` per key `k` and instance start `wstart`:
+    * the window's range and slide, the key, the instance start and the
+    * finished value.
+    */
+  def output(df: DataFrame, agg: AggSpec, wr: Column, ws: Column): DataFrame =
     df.select(
-      lit(w.r).as("w_r"),
-      lit(w.s).as("w_s"),
+      wr.as("w_r"),
+      ws.as("w_s"),
       col("k"),
       col("wstart"),
       agg.finish(col("st")).cast("double").as("value"))
+
+  /** Finalize a sub-aggregate DataFrame of `w` into the output schema. */
+  def finish(df: DataFrame, w: Window, agg: AggSpec): DataFrame =
+    output(df, agg, lit(w.r), lit(w.s))
 
   /** Baseline plan: every window aggregated independently from the raw
     * events, results unioned (left side of Figure 2(a)).
@@ -98,6 +106,7 @@ object Executor {
     */
   def rewritten(events: DataFrame, plan: WcgPlan, agg: AggSpec,
                 cols: EventCols = EventCols()): DataFrame = {
+    require(plan.userWindows.nonEmpty, "empty window set")
     require(plan.semantics == agg.semantics,
       s"plan built for ${plan.semantics} but ${agg.name} needs ${agg.semantics}")
     val nodes = plan.topological
@@ -107,8 +116,8 @@ object Executor {
     }
     val partitions = events.sparkSession.conf.get("spark.sql.shuffle.partitions").toInt
 
-    def aggregate(df: DataFrame, tagged: Column, st: Column): DataFrame =
-      df.select(col("k"), inline(tagged), st.as("st0"))
+    def aggregate(df: DataFrame, instances: Column, st: Column): DataFrame =
+      df.select(col("k"), inline(instances), st.as("st0"))
         .groupBy(col("k"), col("node"), col("wstart"))
         .agg(agg.merge(col("st0")).as("st"))
 
@@ -116,25 +125,22 @@ object Executor {
       .select(col(cols.k).as("k"), col(cols.t).as("t"), agg.lift(col(cols.v)).as("st0"))
       .repartition(partitions, col("k"))
     val level0 = aggregate(keyed,
-      concatTagged(plan.roots.map(w => tagged(col("t"), col("t") + 1, w, id(w)))), col("st0"))
+      concatInstances(plan.roots.map(w => nodeInstances(col("t"), col("t") + 1, w, id(w)))), col("st0"))
 
     val self = array(struct(col("node"), col("wstart")))
     val last = (1 to depth.values.max).foldLeft(level0) { (up, d) =>
       val parents = nodes.filter(w => depth(w) == d - 1 && plan.childrenOf(w).nonEmpty)
       val fanOut = byNode(id, parents.map { w =>
         val children = plan.childrenOf(w)
-          .map(c => tagged(col("wstart"), col("wstart") + w.r, c, id(c)))
-        w -> concatTagged(if (plan.userWindows.contains(w)) children :+ self else children)
+          .map(c => nodeInstances(col("wstart"), col("wstart") + w.r, c, id(c)))
+        w -> concatInstances(if (plan.userWindows.contains(w)) children :+ self else children)
       })
       aggregate(up, fanOut.otherwise(self), col("st"))
     }
 
-    last.select(
-      byNode(id, plan.userWindows.map(w => w -> lit(w.r))).as("w_r"),
-      byNode(id, plan.userWindows.map(w => w -> lit(w.s))).as("w_s"),
-      col("k"),
-      col("wstart"),
-      agg.finish(col("st")).cast("double").as("value"))
+    output(last, agg,
+      byNode(id, plan.userWindows.map(w => w -> lit(w.r))),
+      byNode(id, plan.userWindows.map(w => w -> lit(w.s))))
   }
 
   /** `CASE node WHEN id(w) THEN value … END` over the `(w, value)` branches. */
@@ -143,20 +149,13 @@ object Executor {
       case (c, (w, value)) => c.when(col("node") === id(w), value)
     }
 
-  private val TaggedType = "array<struct<node:int,wstart:bigint>>"
-
-  /** The instances of `w` (node id `node`) whose interval contains the span
-    * `[u, v)`, each as a `(node, wstart)` struct; the same instance set as
-    * `WindowAssign.instanceStarts`, tagged in the one `transform`.
+  /** The instances of `w` whose interval contains `[u, v)`, each as a
+    * `(node, wstart)` struct tagged with `w`'s node id.
     */
-  private def tagged(u: Column, v: Column, w: Window, node: Int): Column = {
-    val mLo = greatest(lit(0L), WindowAssign.ceilDiv(v - w.r, w.s))
-    val mHi = WindowAssign.floorDiv(u, w.s)
-    when(mHi >= mLo,
-      transform(sequence(mLo, mHi), m => struct(lit(node).as("node"), (m * w.s).as("wstart"))))
-      .otherwise(array().cast(TaggedType))
-  }
+  private def nodeInstances(u: Column, v: Column, w: Window, node: Int): Column =
+    WindowAssign.instances(u, v, w, "struct<node:int,wstart:bigint>")(
+      wstart => struct(lit(node).as("node"), wstart.as("wstart")))
 
-  private def concatTagged(arrays: Seq[Column]): Column =
+  private def concatInstances(arrays: Seq[Column]): Column =
     if (arrays.size == 1) arrays.head else concat(arrays: _*)
 }

@@ -25,15 +25,21 @@ object WindowAssign {
   /** `⌈a / s⌉` for integer column `a` and positive literal `s`. */
   def ceilDiv(a: Column, s: Long): Column = floorDiv(a + (s - 1), s)
 
-  /** Array of instance start times of `w` whose interval contains `[u, v)`;
-    * empty when none does (e.g. a span straddling more than `r` units).
+  /** The instances of `w` whose interval contains `[u, v)`, as an array of
+    * `f(wstart)` of type `array<elemType>`; empty when none does (e.g. a
+    * span straddling more than `r` units). One `transform` per call.
     */
-  def instanceStarts(u: Column, v: Column, w: Window): Column = {
+  def instances(u: Column, v: Column, w: Window, elemType: String)
+               (f: Column => Column): Column = {
     val mLo = greatest(lit(0L), ceilDiv(v - w.r, w.s))
     val mHi = floorDiv(u, w.s)
-    when(mHi >= mLo, transform(sequence(mLo, mHi), m => m * w.s))
-      .otherwise(array().cast("array<long>"))
+    when(mHi >= mLo, transform(sequence(mLo, mHi), m => f(m * w.s)))
+      .otherwise(array().cast(s"array<$elemType>"))
   }
+
+  /** Array of instance start times of `w` whose interval contains `[u, v)`. */
+  def instanceStarts(u: Column, v: Column, w: Window): Column =
+    instances(u, v, w, "bigint")(identity)
 
   /** Instance starts containing the unit span of an event at time `t`. */
   def instanceStartsForEvent(t: Column, w: Window): Column =

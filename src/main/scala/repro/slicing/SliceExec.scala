@@ -1,6 +1,7 @@
 package repro.slicing
 
 import repro.core.Window
+import repro.exec.AggSpec
 
 /** Executable window slicing over an in-memory event list — the
   * partial-aggregate / final-aggregate data path that the Table 1 cost
@@ -12,32 +13,12 @@ import repro.core.Window
   */
 object SliceExec {
 
-  /** A commutative-associative aggregate over Double values, in the
-    * distributive/algebraic form of §3.1: partial states merged pairwise,
-    * then finished.
-    */
-  final case class ScalarAgg(name: String,
-                             lift: Double => (Double, Long),
-                             merge: ((Double, Long), (Double, Long)) => (Double, Long),
-                             finish: ((Double, Long)) => Double)
-
-  val Min: ScalarAgg = ScalarAgg("min", v => (v, 1L),
-    (a, b) => (math.min(a._1, b._1), a._2 + b._2), _._1)
-  val Max: ScalarAgg = ScalarAgg("max", v => (v, 1L),
-    (a, b) => (math.max(a._1, b._1), a._2 + b._2), _._1)
-  val Sum: ScalarAgg = ScalarAgg("sum", v => (v, 1L),
-    (a, b) => (a._1 + b._1, a._2 + b._2), _._1)
-  val Count: ScalarAgg = ScalarAgg("count", v => (1.0, 1L),
-    (a, b) => (a._1 + b._1, a._2 + b._2), _._1)
-  val Avg: ScalarAgg = ScalarAgg("avg", v => (v, 1L),
-    (a, b) => (a._1 + b._1, a._2 + b._2), st => st._1 / st._2)
-
   /** Partial aggregates per slice: slice starts are the edge positions; an
     * event at time `t` lands in the slice starting at the greatest edge
     * `≤ t`. Returns sliceStart → state.
     */
   def slicePartials(events: Seq[(Long, Double)], edges: Vector[Long],
-                    agg: ScalarAgg): Map[Long, (Double, Long)] = {
+                    agg: AggSpec): Map[Long, AggSpec.State] = {
     require(edges.nonEmpty && edges.head == 0, "edges must start at 0")
     val arr = edges.toArray
     def sliceOf(t: Long): Long = {
@@ -50,7 +31,7 @@ object SliceExec {
     }
     events.groupBy { case (t, _) => sliceOf(t) }
       .map { case (s, evs) =>
-        s -> evs.map(e => agg.lift(e._2)).reduce(agg.merge)
+        s -> evs.map(e => agg.lift(e._2)).reduce(agg.merge(_, _))
       }
   }
 
@@ -60,33 +41,22 @@ object SliceExec {
     * Returns wstart → finished value, for instances with ≥ 1 event.
     */
   def windowFromSlices(w: Window, edges: Vector[Long],
-                       partials: Map[Long, (Double, Long)], horizon: Long,
-                       agg: ScalarAgg): Map[Long, Double] = {
+                       partials: Map[Long, AggSpec.State], horizon: Long,
+                       agg: AggSpec): Map[Long, Double] = {
     val edgeSet = edges.toSet
-    val out = Map.newBuilder[Long, Double]
-    var m = 0L
-    while (m * w.s + w.r <= horizon) {
-      val (a, b) = (m * w.s, m * w.s + w.r)
+    w.intervalsWithin(horizon).flatMap { case (a, b) =>
       require(edgeSet.contains(a) && edgeSet.contains(b),
         s"window $w instance [$a,$b) not aligned to slice edges")
       val states = edges.filter(e => e >= a && e < b).flatMap(partials.get)
-      if (states.nonEmpty) out += a -> agg.finish(states.reduce(agg.merge))
-      m += 1
-    }
-    out.result()
+      Option.when(states.nonEmpty)(a -> agg.finish(states.reduce(agg.merge(_, _))))
+    }.toMap
   }
 
   /** Direct (unsliced) evaluation of `w` — test oracle. */
   def direct(w: Window, events: Seq[(Long, Double)], horizon: Long,
-             agg: ScalarAgg): Map[Long, Double] = {
-    val out = Map.newBuilder[Long, Double]
-    var m = 0L
-    while (m * w.s + w.r <= horizon) {
-      val (a, b) = (m * w.s, m * w.s + w.r)
+             agg: AggSpec): Map[Long, Double] =
+    w.intervalsWithin(horizon).flatMap { case (a, b) =>
       val inWin = events.collect { case (t, v) if t >= a && t < b => agg.lift(v) }
-      if (inWin.nonEmpty) out += a -> agg.finish(inWin.reduce(agg.merge))
-      m += 1
-    }
-    out.result()
-  }
+      Option.when(inWin.nonEmpty)(a -> agg.finish(inWin.reduce(agg.merge(_, _))))
+    }.toMap
 }

@@ -3,7 +3,7 @@ package repro.stream
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.core.{Window, WcgPlan}
-import repro.exec.AggSpec
+import repro.exec.{AggSpec, Executor}
 
 /** The paper's rewriting expressed in Structured Streaming, the declarative
   * streaming engine the repro targets: a chain in the min-cost WCG becomes a
@@ -61,12 +61,8 @@ object StreamingRewrite {
       sub(w) = df
     }
     plan.userWindows.map { w =>
-      w -> sub(w).select(
-        lit(w.r).as("w_r"),
-        lit(w.s).as("w_s"),
-        col("k"),
-        col("window.start").cast("long").as("wstart"),
-        agg.finish(col("st")).cast("double").as("value"))
+      w -> Executor.output(sub(w).withColumn("wstart", col("window.start").cast("long")),
+        agg, lit(w.r), lit(w.s))
     }.toMap
   }
 }

@@ -28,9 +28,4 @@ class SynthDataSpec extends SparkSpec {
     val perUnit = df.groupBy("t").count().agg(avg("count")).collect()(0).getDouble(0)
     assert(math.abs(perUnit - 1000.0) < 50.0)
   }
-
-  test("TPC-H-lite generators still work at tiny scale (shared infrastructure)") {
-    assert(SynthData.lineitem(spark, 0.001).count() > 0)
-    assert(SynthData.orders(spark, 0.001).columns.contains("o_orderdate"))
-  }
 }

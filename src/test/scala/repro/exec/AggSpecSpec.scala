@@ -55,6 +55,28 @@ class AggSpecSpec extends SparkSpec {
     }
   }
 
+  test("scalar form equals the column form, flat and two-level, on random values") {
+    val rnd = new scala.util.Random(11)
+    (1 to 5).foreach { round =>
+      val vs = Seq.fill(2 + rnd.nextInt(40))(math.round(rnd.nextDouble() * 1e5) / 1e3)
+      val cut = 1 + rnd.nextInt(vs.size - 1)
+      val values = vs.toDF("v")
+      AggSpec.all.foreach { agg =>
+        def fold(xs: Seq[Double]): AggSpec.State = xs.map(agg.lift(_)).reduce(agg.merge(_, _))
+        val flat = agg.finish(fold(vs))
+        val twoLevel = agg.finish(agg.merge(fold(vs.take(cut)), fold(vs.drop(cut))))
+        val column = values
+          .select(agg.lift(col("v")).as("st0"))
+          .agg(agg.merge(col("st0")).as("st"))
+          .select(agg.finish(col("st")).cast("double"))
+          .collect()(0).getDouble(0)
+        val tol = 1e-9 * math.max(1.0, math.abs(column))
+        assert(math.abs(flat - column) <= tol, s"${agg.name} flat, round $round")
+        assert(math.abs(twoLevel - column) <= tol, s"${agg.name} two-level, round $round")
+      }
+    }
+  }
+
   test("MIN is tolerant of overlapping partitions (Theorem 6)") {
     // Duplicate a subset of values (as overlapping covers would) — the MIN
     // result must not change, unlike SUM/COUNT.

@@ -180,6 +180,12 @@ class ExecutorSpec extends SparkSpec {
       Executor.rewritten(events(), plan, AggSpec.Sum))
   }
 
+  test("rewritten plan refuses an empty window set, as the baseline does") {
+    val plan = CostModel.minCostPlan(Nil, Semantics.CoveredBy, 1)
+    assertThrows[IllegalArgumentException](
+      Executor.rewritten(events(), plan, AggSpec.Min))
+  }
+
   test("rewritten leaves the caller's persisted events cached") {
     val plan = FactorWindows.minCostPlanWithFactors(ex7, Semantics.CoveredBy, 100)
     val ev = events().persist(StorageLevel.MEMORY_ONLY)

@@ -2,6 +2,7 @@ package repro.slicing
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{NumberTheory, SeededProps, Window}
+import repro.exec.AggSpec
 
 class SlicingSpec extends AnyFunSuite with SeededProps {
 
@@ -136,7 +137,7 @@ class SlicingSpec extends AnyFunSuite with SeededProps {
 
   // ---- executable slicing == direct evaluation ----------------------------
 
-  private def checkExecutable(ws: Seq[Window], agg: SliceExec.ScalarAgg,
+  private def checkExecutable(ws: Seq[Window], agg: AggSpec,
                               edges: Window => Seq[Progression], horizon: Long,
                               seed: Long): Unit = {
     val rnd = new scala.util.Random(seed)
@@ -156,23 +157,23 @@ class SlicingSpec extends AnyFunSuite with SeededProps {
 
   test("shared paired slicing reproduces direct window results (min)") {
     checkExecutable(Seq(Window(10, 4), Window(12, 6), Window(8, 2)),
-      SliceExec.Min, Slicing.pairedEdges, horizon = 120, seed = 1)
+      AggSpec.Min, Slicing.pairedEdges, horizon = 120, seed = 1)
   }
 
   test("shared paned slicing reproduces direct window results (sum)") {
     checkExecutable(Seq(Window(10, 4), Window(12, 6), Window(8, 2)),
-      SliceExec.Sum, Slicing.panedEdges, horizon = 120, seed = 2)
+      AggSpec.Sum, Slicing.panedEdges, horizon = 120, seed = 2)
   }
 
   test("shared paired slicing reproduces direct results on tumbling sets (avg)") {
     checkExecutable(Seq(10L, 20L, 30L, 40L).map(Window.tumbling),
-      SliceExec.Avg, Slicing.pairedEdges, horizon = 240, seed = 3)
+      AggSpec.Avg, Slicing.pairedEdges, horizon = 240, seed = 3)
   }
 
   test("executable slicing matches direct results on random aligned sets") {
     sampled(30) { rnd => (alignedSet(rnd, 3, sMax = 6, kMax = 4), rnd.nextLong(1000)) } {
       case (ws, seed) =>
-        Seq(SliceExec.Min, SliceExec.Max, SliceExec.Count).foreach { agg =>
+        Seq(AggSpec.Min, AggSpec.Max, AggSpec.Count).foreach { agg =>
           checkExecutable(ws, agg, Slicing.pairedEdges, horizon = 150, seed = seed)
         }
     }
@@ -181,8 +182,8 @@ class SlicingSpec extends AnyFunSuite with SeededProps {
   test("unshared slicing (per-window slices) also reproduces direct results") {
     val ws = Seq(Window(10, 4), Window(9, 3))
     ws.foreach { w =>
-      checkExecutable(Seq(w), SliceExec.Min, Slicing.pairedEdges, 100, 4)
-      checkExecutable(Seq(w), SliceExec.Sum, Slicing.panedEdges, 100, 5)
+      checkExecutable(Seq(w), AggSpec.Min, Slicing.pairedEdges, 100, 4)
+      checkExecutable(Seq(w), AggSpec.Sum, Slicing.panedEdges, 100, 5)
     }
   }
 }
