@@ -9,7 +9,8 @@ import repro.stream.StreamingRewrite
 /** Structured Streaming demonstration entrypoint: runs the rewritten
   * (chained time-window) queries of the Example-7 plan — including its
   * factor window W(10,10) — against Spark's `rate` source for a fixed wall
-  * period and prints the emitted window aggregates per user window.
+  * period. It prints the rewritten plan (`WcgPlan.render`), then the
+  * emitted window aggregates per user window.
   */
 object StreamingJob {
   def main(args: Array[String]): Unit = {
@@ -23,8 +24,7 @@ object StreamingJob {
       val windows = Seq(20L, 30L, 40L).map(Window.tumbling)
       val plan = FactorWindows.minCostPlanWithFactors(windows,
         AggSpec.Min.semantics, eta = 100)
-      println(s"plan roots=${plan.roots.mkString(",")} " +
-        s"factors=${plan.factorWindows.mkString(",")}")
+      print(plan.render)
 
       val events = spark.readStream.format("rate")
         .option("rowsPerSecond", "500").load()

@@ -57,10 +57,12 @@ object CostModel {
   def cost(w: Window, parent: Option[Window], bigR: BigInt, eta: BigInt): BigInt =
     parent.fold(rootCost(w, bigR, eta))(p => edgeCost(w, p, bigR))
 
-  /** Baseline (BL) cost: every window computed directly from the stream. */
+  /** Baseline (BL) cost: every distinct window computed directly from the
+    * stream (a repeated window is computed once, as in `minCostPlan`).
+    */
   def baselineCost(windows: Seq[Window], eta: BigInt): BigInt = {
     val bigR = hyperPeriod(windows)
-    windows.map(rootCost(_, bigR, eta)).sum
+    windows.distinct.map(rootCost(_, bigR, eta)).sum
   }
 
   /** Algorithm 1: the min-cost WCG over `user ∪ factor` windows, with the
@@ -157,4 +159,34 @@ final case class WcgPlan(
   def isForest: Boolean =
     scala.util.Try(topological).isSuccess &&
       parent.values.flatten.forall(allWindows.contains)
+
+  /** The rewritten plan of §3.3 as an indented tree in the style of
+    * Figure 2(b). The forest alone fixes it:
+    *
+    *  1. the source `Multicast` feeding the roots stays only when there are
+    *     at least two roots;
+    *  2. every window with children gets a `Multicast@W(r,s)` above them;
+    *  3. the user windows feed `Union`, the last line. Factor windows are
+    *     marked ` [factor]`: their results are not exposed (§4).
+    *
+    * `repro.exec.Executor.rewritten` runs the same dataflow.
+    */
+  def render: String = {
+    val sb = new StringBuilder("Source\n")
+    def line(depth: Int, text: String): Unit = sb ++= "  " * depth ++= text += '\n'
+    def window(w: Window, depth: Int): Unit = {
+      line(depth, s"Window(${w.r},${w.s})" + (if (factorWindows.contains(w)) " [factor]" else ""))
+      val children = childrenOf(w)
+      if (children.nonEmpty) {
+        line(depth + 1, s"Multicast@$w")
+        children.foreach(window(_, depth + 2))
+      }
+    }
+    if (roots.size >= 2) {
+      line(1, "Multicast")
+      roots.foreach(window(_, 2))
+    } else roots.foreach(window(_, 1))
+    sb ++= "Union\n"
+    sb.result()
+  }
 }

@@ -101,14 +101,15 @@ object FactorWindows {
 
   /** Theorem 9 comparator for two *independent* tumbling candidates under
     * "partitioned by": returns true iff `c_f ≤ c'_f`, i.e. `wf` is at least
-    * as good as `wf2`. Evaluated via the exact local costs, which Theorem 9
-    * shows is equivalent to its rational inequality.
+    * as good as `wf2`. Evaluated via the exact `delta`s (the local costs
+    * minus a term common to both candidates), which Theorem 9 shows is
+    * equivalent to its rational inequality.
     */
   def theorem9AtLeastAsGood(wf: Window, wf2: Window, target: Option[Window],
                             downstream: Seq[Window], bigR: BigInt,
                             eta: BigInt): Boolean =
-    localCost(wf, target, downstream, bigR, eta) <=
-      localCost(wf2, target, downstream, bigR, eta)
+    delta(wf, target, downstream, bigR, eta) <=
+      delta(wf2, target, downstream, bigR, eta)
 
   /** The literal inequality of Theorem 9, in exact rational arithmetic:
     * `r_f/r'_f ≥ (λ − r_f/r_W) / (λ − r'_f/r_W)` with `λ = Σ_j n_j/m_j`
@@ -134,15 +135,6 @@ object FactorWindows {
     else if (d.signum > 0) a * d >= b * c
     else a * d <= b * c
   }
-
-  /** Local Figure-9 cost with `wf` inserted (the `cost(W)` term common to
-    * all candidates is omitted).
-    */
-  private def localCost(wf: Window, target: Option[Window],
-                        downstream: Seq[Window], bigR: BigInt,
-                        eta: BigInt): BigInt =
-    downstream.map(CostModel.edgeCost(_, wf, bigR)).sum +
-      CostModel.cost(wf, target, bigR, eta)
 
   /** Algorithm 4: best tumbling factor window for target `target` (None =
     * virtual root) and its downstream windows, under "partitioned by".
@@ -174,7 +166,7 @@ object FactorWindows {
       cands.exists(w2 => w2 != wf && w2.coveredBy(wf)))
     if (pruned.isEmpty) None
     else Some(pruned.minBy(wf =>
-      (localCost(wf, target, downstream, bigR, eta), -wf.r)))
+      (delta(wf, target, downstream, bigR, eta), -wf.r)))
   }
 
   /** One factor window proposed for each vertex of the augmented WCG

@@ -23,10 +23,11 @@ final case class TechniqueCosts(
 
 object Techniques {
 
-  /** Evaluate all five techniques on `windows` under the given aggregate
-    * semantics and event rate η.
+  /** Evaluate all five techniques on the distinct windows of `query`
+    * under the given aggregate semantics and event rate η.
     */
-  def evaluate(windows: Seq[Window], semantics: Semantics, eta: Long): TechniqueCosts = {
+  def evaluate(query: Seq[Window], semantics: Semantics, eta: Long): TechniqueCosts = {
+    val windows = query.distinct
     val bigR = CostModel.hyperPeriod(windows)
     val bigS = Slicing.slicingPeriod(windows)
     val L    = NumberTheory.lcm(bigR, bigS)

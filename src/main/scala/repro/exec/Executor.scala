@@ -4,11 +4,6 @@ import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import repro.core.{Window, WcgPlan}
 
-/** Names of the event-stream columns: integer event time `t` (in abstract
-  * time units ≥ 0), grouping key `k` (the `DeviceID` of Figure 1), value `v`.
-  */
-final case class EventCols(t: String = "t", k: String = "k", v: String = "v")
-
 /** Executes a multi-window aggregate query over an event DataFrame, either
   * as the *baseline* plan (every window computed independently from the raw
   * stream — Figure 1(b)) or as the *rewritten* hierarchical plan along a
@@ -23,6 +18,9 @@ final case class EventCols(t: String = "t", k: String = "k", v: String = "v")
   * rows fan out to all its children, which is the batch form of the
   * `Multicast` operator.
   *
+  * Input: events with integer event time `t` (in abstract time units ≥ 0),
+  * grouping key `k` (the `DeviceID` of Figure 1) and value `v`.
+  *
   * Output schema: `(w_r, w_s, k, wstart, value)` — one row per window per
   * key per instance that saw at least one event.
   */
@@ -31,13 +29,12 @@ object Executor {
   /** Sub-aggregate states of `w` computed directly from events:
     * `(k, wstart, st)`.
     */
-  def subAggFromEvents(events: DataFrame, w: Window, agg: AggSpec,
-                       cols: EventCols = EventCols()): DataFrame =
+  def subAggFromEvents(events: DataFrame, w: Window, agg: AggSpec): DataFrame =
     events
       .select(
-        col(cols.k).as("k"),
-        explode(WindowAssign.instanceStartsForEvent(col(cols.t), w)).as("wstart"),
-        agg.lift(col(cols.v)).as("st0"))
+        col("k"),
+        explode(WindowAssign.instanceStartsForEvent(col("t"), w)).as("wstart"),
+        agg.lift(col("v")).as("st0"))
       .groupBy(col("k"), col("wstart"))
       .agg(agg.merge(col("st0")).as("st"))
 
@@ -74,14 +71,14 @@ object Executor {
   def finish(df: DataFrame, w: Window, agg: AggSpec): DataFrame =
     output(df, agg, lit(w.r), lit(w.s))
 
-  /** Baseline plan: every window aggregated independently from the raw
-    * events, results unioned (left side of Figure 2(a)).
+  /** Baseline plan: every distinct window aggregated independently from the
+    * raw events, results unioned (left side of Figure 2(a)). A repeated
+    * window is computed once, as in every rewritten plan.
     */
-  def baseline(events: DataFrame, windows: Seq[Window], agg: AggSpec,
-               cols: EventCols = EventCols()): DataFrame = {
+  def baseline(events: DataFrame, windows: Seq[Window], agg: AggSpec): DataFrame = {
     require(windows.nonEmpty, "empty window set")
-    windows
-      .map(w => finish(subAggFromEvents(events, w, agg, cols), w, agg))
+    windows.distinct
+      .map(w => finish(subAggFromEvents(events, w, agg), w, agg))
       .reduce(_.unionAll(_))
   }
 
@@ -104,8 +101,7 @@ object Executor {
     * out to all its children from the same rows: this is the `Multicast` of
     * §3.3. Factor windows participate but are not exposed.
     */
-  def rewritten(events: DataFrame, plan: WcgPlan, agg: AggSpec,
-                cols: EventCols = EventCols()): DataFrame = {
+  def rewritten(events: DataFrame, plan: WcgPlan, agg: AggSpec): DataFrame = {
     require(plan.userWindows.nonEmpty, "empty window set")
     require(plan.semantics == agg.semantics,
       s"plan built for ${plan.semantics} but ${agg.name} needs ${agg.semantics}")
@@ -122,7 +118,7 @@ object Executor {
         .agg(agg.merge(col("st0")).as("st"))
 
     val keyed = events
-      .select(col(cols.k).as("k"), col(cols.t).as("t"), agg.lift(col(cols.v)).as("st0"))
+      .select(col("k"), col("t"), agg.lift(col("v")).as("st0"))
       .repartition(partitions, col("k"))
     val level0 = aggregate(keyed,
       concatInstances(plan.roots.map(w => nodeInstances(col("t"), col("t") + 1, w, id(w)))), col("st0"))

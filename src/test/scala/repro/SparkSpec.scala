@@ -6,10 +6,11 @@ import org.scalatest.funsuite.AnyFunSuite
 
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
-  * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so every plan takes the shuffle
-  * path, as the rewritten window plans do at scale.
+  * The tests run in a forked JVM whose heap `Test / javaOptions` in
+  * build.sbt sets to `-Xmx$SPARK_DRIVER_MEM`, or to `-Xmx48g` when that
+  * variable is unset; build.sbt derives nothing from the machine. Broadcast
+  * joins are disabled so every plan takes the shuffle path, as the
+  * rewritten window plans do at scale.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
@@ -26,8 +27,8 @@ object SparkSpec {
               sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
-    // One line in test output that tells the driver whether the cgroup
-    // derivation saw the real limit (README § Spark target).
+    // One line in the test output with the heap setting and parallelism
+    // the run actually got.
     Console.err.println(
       s"[SparkSpec] driverMem=${sys.env.getOrElse("SPARK_DRIVER_MEM", "(unset)")} " +
       s"master=${s.sparkContext.master} " +

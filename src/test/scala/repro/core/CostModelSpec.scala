@@ -167,6 +167,12 @@ class CostModelSpec extends AnyFunSuite with SeededProps {
     assert(plan.userWindows.size == 2)
   }
 
+  test("baseline cost of a repeated window set equals that of its distinct set") {
+    val ws = Seq(Window(10, 10), Window(10, 10), Window(20, 20))
+    assert(CostModel.baselineCost(ws, 1) == CostModel.baselineCost(ws.distinct, 1))
+    assert(CostModel.baselineCost(ws, 1) == 40) // eta*R = 20 per tumbling window
+  }
+
   test("eta must be at least 1") {
     assertThrows[IllegalArgumentException](
       CostModel.minCostPlan(ex1, Semantics.CoveredBy, 0))

@@ -70,6 +70,34 @@ class TechniquesSpec extends AnyFunSuite with SeededProps {
     }
   }
 
+  // (WCG, WCG-FW) of the ten sets at eta=100, as printed by the Figure 11
+  // and Figure 12 tables of the bench suites: a planner change that alters
+  // any of these plans fails here.
+  private val pinned = Seq(
+    ("Figure 11", "random", Semantics.CoveredBy, Seq[(BigInt, BigInt)](
+      (980313, 980208), (5545427, 1078068), (95712, 48980), (1004775, 264042),
+      (7558303, 1595910), (2169668, 356611), (2745706, 532966),
+      (2584409, 459766), (3370800, 878269), (325427, 51157))),
+    ("Figure 12", "random-tumbling", Semantics.PartitionedBy, Seq[(BigInt, BigInt)](
+      (126945, 126945), (2016360, 514440), (48128, 48128), (378280, 128170),
+      (3024630, 3024630), (504672, 504672), (1008252, 257292),
+      (1080000, 1080000), (14700000, 14700000), (72018, 24378))))
+
+  pinned.foreach { case (figure, kind, sem, want) =>
+    test(s"$figure plans at eta=100: (WCG, WCG-FW) of every set unchanged") {
+      EvalHarness.sets(kind).zip(want).foreach { case ((label, ws), (wcg, wcgFw)) =>
+        val c = Techniques.evaluate(ws, sem, 100)
+        assert((c.wcg, c.wcgFw) == ((wcg, wcgFw)), s"$kind/$label")
+      }
+    }
+  }
+
+  test("a repeated window is evaluated once by every technique") {
+    val ws = Seq(Window(12, 4), Window(20, 10))
+    assert(Techniques.evaluate(ws :+ ws.head, Semantics.CoveredBy, 10) ==
+      Techniques.evaluate(ws, Semantics.CoveredBy, 10))
+  }
+
   test("EvalHarness window sets are deterministic") {
     assert(EvalHarness.sets("random") == EvalHarness.sets("random"))
     assert(EvalHarness.sets("dag").map(_._2) == EvalHarness.sets("dag").map(_._2))

@@ -256,21 +256,18 @@ class ExecutorSpec extends SparkSpec {
     }
   }
 
-  test("custom event column names, including the plan's own column names") {
-    val ev = events()
-    val plan = FactorWindows.minCostPlanWithFactors(ex7, Semantics.PartitionedBy, 100)
-    val want = Executor.baseline(ev, ex7, AggSpec.Avg)
-    Seq(EventCols("ts", "dev", "val"), EventCols("wstart", "node", "st"),
-        EventCols("k", "t", "v")).foreach { c =>
-      val renamed = ev.select(col("t").as(c.t), col("k").as(c.k), col("v").as(c.v))
-      assertSameResults(want, Executor.baseline(renamed, ex7, AggSpec.Avg, c), s"baseline $c")
-      assertSameResults(want, Executor.rewritten(renamed, plan, AggSpec.Avg, c), s"rewritten $c")
-    }
-  }
-
   test("output schema is (w_r, w_s, k, wstart, value)") {
     val df = Executor.baseline(events(500, 60), Seq(Window(10, 5)), AggSpec.Min)
     assert(df.columns.toSeq == Seq("w_r", "w_s", "k", "wstart", "value"))
+  }
+
+  test("a repeated window: baseline == rewritten, each row once") {
+    val ws = Seq(Window.tumbling(10), Window.tumbling(10), Window(20, 10))
+    val plan = CostModel.minCostPlan(ws, Semantics.CoveredBy, 100)
+    val (base, rew) = (Executor.baseline(events(), ws, AggSpec.Max),
+      Executor.rewritten(events(), plan, AggSpec.Max))
+    assert(base.count() == rew.count(), "a repeated window was output twice")
+    assertSameResults(base, rew, "repeated window")
   }
 
   test("every window instance with events appears exactly once per key") {
