@@ -1,90 +1,61 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import Rewriter._
 
+/** The §3.3 rewrite as the min-cost forest (`WcgPlan`) holds it: which
+  * window feeds which, where a `Multicast` sits, and which windows reach
+  * `Union`. `RenderSpec` pins the printed trees.
+  */
 class RewriterSpec extends AnyFunSuite with SeededProps {
 
   private val ex1 = Seq(10L, 20L, 30L, 40L).map(Window.tumbling)
-  private val ex7 = Seq(20L, 30L, 40L).map(Window.tumbling)
-  private def wn(r: Long) = WindowNode(Window.tumbling(r))
-
-  test("original plan: Source => MultiCast => windows => Union (Figure 1(b))") {
-    val g = originalPlan(ex1)
-    assert(g.outgoing(Source) == Vector(SourceMulticast))
-    ex1.foreach { w =>
-      assert(g.outgoing(SourceMulticast).contains(WindowNode(w)))
-      assert(g.outgoing(WindowNode(w)) == Vector(UnionNode))
-    }
-  }
+  private def tw(r: Long) = Window.tumbling(r)
+  private def trimmed(plan: WcgPlan): Vector[String] =
+    plan.render.linesIterator.map(_.trim).toVector
 
   test("Example 1 rewritten plan matches the right side of Figure 2(a)") {
     val plan = CostModel.minCostPlan(ex1, Semantics.CoveredBy, 1)
-    val g = rewrite(plan)
-    // Single root W(10,10): the source MultiCast is removed (step 1).
-    assert(!g.nodes.contains(SourceMulticast))
-    assert(g.outgoing(Source) == Vector(wn(10)))
-    // W10 multicasts to Union and to W20, W30.
-    val m10 = Multicast(Window.tumbling(10))
-    assert(g.outgoing(wn(10)) == Vector(m10))
-    assert(g.outgoing(m10).toSet == Set(UnionNode, wn(20), wn(30)))
-    // W20 multicasts to Union and W40.
-    val m20 = Multicast(Window.tumbling(20))
-    assert(g.outgoing(wn(20)) == Vector(m20))
-    assert(g.outgoing(m20).toSet == Set(UnionNode, wn(40)))
-    // Leaves link straight to Union (step 3).
-    assert(g.outgoing(wn(30)) == Vector(UnionNode))
-    assert(g.outgoing(wn(40)) == Vector(UnionNode))
-  }
-
-  test("Example 7 with factor window: factor results are not exposed to Union") {
-    val plan = FactorWindows.minCostPlanWithFactors(ex7, Semantics.PartitionedBy, 1)
-    val g = rewrite(plan)
-    val mF = Multicast(Window.tumbling(10))
-    assert(g.outgoing(wn(10)) == Vector(mF))
-    // Factor window's MultiCast feeds W20 and W30 but NOT Union.
-    assert(g.outgoing(mF).toSet == Set(wn(20), wn(30)))
-    assert(!g.outgoing(mF).contains(UnionNode))
-    // Every user window still reaches Union.
-    plan.userWindows.foreach(w => assert(g.incoming(UnionNode).nonEmpty &&
-      g.reachesUnion(WindowNode(w)), s"$w must reach Union"))
-  }
-
-  test("multi-root plans keep the source MultiCast") {
-    // {20,30} have no coverage relation: two roots.
-    val plan = CostModel.minCostPlan(Seq(Window.tumbling(20), Window.tumbling(27)),
-      Semantics.CoveredBy, 1)
-    val g = rewrite(plan)
-    assert(g.nodes.contains(SourceMulticast))
-    assert(g.outgoing(SourceMulticast).toSet == Set(wn(20), wn(27)))
+    // Single root W(10,10): the source Multicast is removed (step 1).
+    assert(plan.roots == Vector(tw(10)))
+    assert(!plan.render.linesIterator.contains("  Multicast"))
+    // W10 multicasts to W20 and W30; W20 multicasts to W40 (step 2).
+    assert(plan.childrenOf(tw(10)).toSet == Set(tw(20), tw(30)))
+    assert(plan.childrenOf(tw(20)) == Vector(tw(40)))
+    // Leaves link straight to Union, as do W10 and W20 (step 3).
+    assert(plan.childrenOf(tw(30)).isEmpty && plan.childrenOf(tw(40)).isEmpty)
+    assert(plan.factorWindows.isEmpty && plan.userWindows.toSet == ex1.toSet)
   }
 
   test("every user window reaches Union on random plans; factor windows never link Union directly") {
     sampled(150) { rnd => alignedSet(rnd, 5) } { ws =>
       val plan = FactorWindows.minCostPlanWithFactors(ws, Semantics.CoveredBy, 100)
-      val g = rewrite(plan)
-      plan.userWindows.foreach(w =>
-        assert(g.reachesUnion(WindowNode(w)), s"$w lost in $ws"))
-      plan.factorWindows.foreach { f =>
-        assert(!g.links.contains((WindowNode(f), UnionNode)))
-        assert(!g.links.contains((Multicast(f), UnionNode)))
+      // Every window is reached from Source along in-plan parent links.
+      def fromSource(w: Window, seen: Set[Window]): Boolean = plan.parent(w) match {
+        case None    => true
+        case Some(p) => plan.allWindows.contains(p) && !seen(p) && fromSource(p, seen + p)
       }
+      plan.allWindows.foreach(w => assert(fromSource(w, Set(w)), s"$w lost in $ws"))
+      // Union takes exactly the user windows; factor windows stay unexposed.
+      assert(plan.userWindows.toSet == ws.toSet)
+      assert(plan.factorWindows.toSet.intersect(ws.toSet).isEmpty, s"$ws")
+      val toUnion = trimmed(plan).filter(l => l.startsWith("Window(") && !l.endsWith(" [factor]"))
+      assert(toUnion.sorted == plan.userWindows.map(w => s"Window(${w.r},${w.s})").sorted,
+        plan.render)
     }
   }
 
   test("rewritten plan has exactly one MultiCast per window with children") {
     sampled(100) { rnd => alignedSet(rnd, 5) } { ws =>
       val plan = CostModel.minCostPlan(ws, Semantics.CoveredBy, 1)
-      val g = rewrite(plan)
-      val multicasts = g.nodes.collect { case m: Multicast => m }
-      assert(multicasts.map(_.v).toSet ==
-        plan.allWindows.filter(plan.childrenOf(_).nonEmpty).toSet)
+      val multicasts = trimmed(plan).filter(_.startsWith("Multicast@"))
+      val withChildren = plan.allWindows.filter(plan.childrenOf(_).nonEmpty)
+      assert(multicasts.sorted == withChildren.map(w => s"Multicast@$w").sorted, plan.render)
     }
   }
 
   test("render produces a readable tree containing every window") {
     val plan = CostModel.minCostPlan(ex1, Semantics.CoveredBy, 1)
-    val text = rewrite(plan).render
+    val text = plan.render
     ex1.foreach(w => assert(text.contains(s"Window(${w.r},${w.s})")))
     assert(text.startsWith("Source"))
     assert(text.linesIterator.toSeq.last == "Union")
