@@ -143,17 +143,20 @@ final case class WcgPlan(
   /** Total plan cost `C = Σ c_i`. */
   def totalCost: BigInt = allWindows.map(costOf).sum
 
-  /** Vertices in dataflow (topological) order: parents before children. */
-  def topological: Vector[Window] = {
-    val remaining = scala.collection.mutable.LinkedHashSet(allWindows: _*)
-    val out = Vector.newBuilder[Window]
-    while (remaining.nonEmpty) {
-      val ready = remaining.filter(w => parent(w).forall(p => !remaining.contains(p)))
-      require(ready.nonEmpty, s"cycle in plan forest: $remaining")
-      ready.foreach { w => out += w; remaining -= w }
+  /** The windows grouped by depth in the forest, roots first, each level in
+    * `allWindows` order: every pass peels the windows whose parent is gone.
+    */
+  def levels: Vector[Vector[Window]] =
+    Vector.unfold(allWindows) { remaining =>
+      Option.when(remaining.nonEmpty) {
+        val ready = remaining.filter(w => parent(w).forall(p => !remaining.contains(p)))
+        require(ready.nonEmpty, s"cycle in plan forest: $remaining")
+        (ready, remaining.filterNot(ready.contains))
+      }
     }
-    out.result()
-  }
+
+  /** Vertices in dataflow (topological) order: parents before children. */
+  def topological: Vector[Window] = levels.flatten
 
   /** Forest sanity: no cycles, parents in-plan. Used by tests (Theorem 7). */
   def isForest: Boolean =

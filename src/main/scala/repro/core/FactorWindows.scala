@@ -5,16 +5,11 @@ import NumberTheory._
 /** Factor windows (§4): auxiliary windows not in the query that are inserted
   * between a target window `W` (possibly the virtual root S⟨1,1⟩, modeled
   * here as `None` = the raw stream) and W's downstream windows `W_1…W_K`
-  * (Figure 9), to reduce total cost.
-  *
-  * This object implements:
-  *  - the exact benefit Δcost of Equation 2 (and the Eq. 3 test Δ ≤ 0);
-  *  - general candidate generation/selection (§4.2);
-  *  - Algorithm 2 (min-cost WCG with factor windows; falls back to the
-  *    Algorithm 1 plan when that is no worse — last paragraph of §4.3);
-  *  - Algorithm 3 (benefit test under "partitioned by");
-  *  - Algorithm 4 (best factor window under "partitioned by") with
-  *    dependent-candidate pruning and the Theorem 9 comparator.
+  * (Figure 9), to reduce total cost. This object implements the exact
+  * benefit Δcost of Equation 2, one candidate generator (§4.2.1) shared by
+  * the general selection (§4.2) and Algorithm 4 (§4.4, with Algorithm 3,
+  * dependent-candidate pruning and Theorem 9), and Algorithm 2, which falls
+  * back to the Algorithm 1 plan when that is no worse (§4.3).
   */
 object FactorWindows {
 
@@ -31,28 +26,38 @@ object FactorWindows {
     withFw - withoutFw
   }
 
-  /** Candidate factor windows for the Figure-9 pattern (§4.2.1): slides
-    * dividing `gcd` of the downstream slides and multiples of the target's
-    * slide; ranges that are multiples of the slide, at most the minimum
-    * downstream range; and satisfying the coverage (or partitioning)
-    * relation toward both the target and every downstream window. Windows
-    * already present in the graph are excluded (Definition 6).
+  /** Candidate factor windows for the Figure-9 pattern (§4.2.1). Slides
+    * `s_f` divide the gcd of the downstream slides and are multiples of the
+    * target's slide; ranges are multiples of `s_f` strictly between the
+    * target's range and the minimum downstream range, so `wf` is neither the
+    * target nor the virtual root. Windows already in the graph are excluded
+    * (Definition 6). Per slide, only the finest and the coarsest remaining
+    * range are kept, each if it relates to the target and every downstream
+    * window relates to it. This loses no optimum:
+    *  - For a fixed `s_f`, those relations hold for every range or for none
+    *    under covered-by (Theorem 1 asks `s_W | r_W`, `s_f | r_j`). Under
+    *    partitioned-by only `r_f = s_f` can pass: the downstream windows
+    *    need a tumbling factor.
+    *  - Δ (Equation 2) is the linear `Σ n_j(1 + (r_j − r_f)/s_f)` plus a
+    *    concave quadratic in `r_f`: `(1 + (R − r_f)/s_f)·η·r_f` for the raw
+    *    stream, `(1 + (R − r_f)/s_f)·(1 + (r_f − r_W)/s_W)` for a real
+    *    target. So its minimum over any set of one slide's ranges sits at
+    *    the finest or coarsest one, and the `(Δ, −r, −s)` tie-break too.
     */
   def candidates(target: Option[Window], downstream: Seq[Window],
                  existing: Set[Window], semantics: Semantics): Seq[Window] = {
     if (downstream.isEmpty) return Nil
     val tw   = target.getOrElse(Window.virtualRoot)
-    val sd   = gcdAll(downstream.map(w => BigInt(w.s))).toLong
     val rMin = downstream.map(_.r).min
-    for {
-      sf <- divisors(sd) if sf % tw.s == 0
-      rf <- (sf to rMin by sf)
-      wf = Window(rf, sf)
-      if !existing.contains(wf)
-      if wf != tw && wf != Window.virtualRoot
-      if semantics.relates(wf, tw) && wf.r > tw.r
-      if downstream.forall(wj => semantics.relates(wj, wf) && wj.r > wf.r)
-    } yield wf
+    def feasible(wf: Window): Boolean =
+      semantics.relates(wf, tw) && downstream.forall(semantics.relates(_, wf))
+    divisors(gcdAll(downstream.map(w => BigInt(w.s))).toLong).filter(_ % tw.s == 0).flatMap { sf =>
+      val (lo, hi) = ((tw.r / sf + 1) * sf, (rMin - 1) / sf * sf)
+      def firstNew(from: Long, step: Long): Option[Window] =
+        Iterator.iterate(from)(_ + step).takeWhile(rf => lo <= rf && rf <= hi)
+          .map(Window(_, sf)).find(!existing.contains(_))
+      (firstNew(lo, sf) ++ firstNew(hi, -sf)).filter(feasible).toSeq.distinct
+    }
   }
 
   /** `FindBestFactorWindow` of Algorithm 2: among beneficial candidates
@@ -137,29 +142,23 @@ object FactorWindows {
   }
 
   /** Algorithm 4: best tumbling factor window for target `target` (None =
-    * virtual root) and its downstream windows, under "partitioned by".
-    * Candidate ranges are the common factors of the downstream ranges and
-    * slides that are proper multiples of the target's range; candidates are
-    * filtered by Algorithm 3, pruned of dominated (dependent) ones — a
-    * candidate covered by a finer candidate is kept, the finer one dropped
-    * (§4.4.2) — and the best survivor is picked per Theorem 9.
+    * virtual root) under "partitioned by". Its candidates, the tumbling
+    * common factors of the downstream ranges and slides above `r_W` (none
+    * when their gcd is `r_W`, line 3), are filtered by Algorithm 3, pruned
+    * of dominated (dependent) ones — a candidate covered by a finer one is
+    * kept, the finer one dropped (§4.4.2) — and picked per Theorem 9.
     */
   def algorithm4Best(target: Option[Window], downstream: Seq[Window],
                      existing: Set[Window], bigR: BigInt,
                      eta: BigInt): Option[Window] = {
-    if (downstream.isEmpty) return None
     val tw = target.getOrElse(Window.virtualRoot)
     require(tw.isTumbling, "Algorithm 4 assumes a tumbling target")
-    // d = gcd of downstream ranges and slides (equals the paper's gcd of
-    // ranges when all downstream windows are tumbling).
-    val d = gcdAll(downstream.flatMap(w => Seq(BigInt(w.r), BigInt(w.s)))).toLong
-    if (d == tw.r) return None // line 3: no room for a factor window
-    val cands = divisors(d)
-      .filter(rf => rf % tw.r == 0 && rf > tw.r)
-      .map(Window.tumbling)
-      .filterNot(existing.contains)
-      .filter(wf => downstream.forall(wj => wj.partitionedBy(wf) && wj.r > wf.r))
-      .filter(wf => algorithm3WouldHelp(wf, tw, downstream, bigR))
+    val cands = candidates(target, downstream, existing, Semantics.PartitionedBy)
+      .filter(wf => downstream match {
+        // Algorithm 3 needs r_1 ≡ 0 mod s_1 (footnote 4); else Equation 3.
+        case Seq(w1) if w1.r % w1.s != 0 => delta(wf, target, downstream, bigR, eta) < 0
+        case _ => algorithm3WouldHelp(wf, tw, downstream, bigR)
+      })
     // Dependent-candidate pruning: if some other candidate w' satisfies
     // w' ≼ wf (w' covered by wf, i.e. wf is finer), drop wf.
     val pruned = cands.filterNot(wf =>
@@ -169,32 +168,29 @@ object FactorWindows {
       (delta(wf, target, downstream, bigR, eta), -wf.r)))
   }
 
-  /** One factor window proposed for each vertex of the augmented WCG
-    * (lines 3–5 of Algorithm 2). The virtual root's downstream set consists
-    * of the windows with no incoming edge (§4.1).
+  /** The Figure-9 patterns Algorithm 2 visits (lines 3–5): the virtual root
+    * (`None`) over the windows with no incoming edge (§4.1), then every
+    * window that has downstream windows over them.
+    */
+  def patterns(user: Vector[Window], semantics: Semantics): Seq[(Option[Window], Seq[Window])] = {
+    val wcg = Wcg(user, semantics)
+    ((None, user.filter(wcg.parentsOf(_).isEmpty)) +: user.map(w => (Some(w), wcg.childrenOf(w))))
+      .filter(_._2.nonEmpty)
+  }
+
+  /** One factor window proposed per Figure-9 pattern (Algorithm 2): by
+    * Algorithm 4 under "partitioned by", where only tumbling windows have
+    * downstream windows, and by `FindBestFactorWindow` under "covered by".
     */
   def proposeFactors(user: Seq[Window], semantics: Semantics,
                      eta: BigInt): Vector[Window] = {
-    val userV = user.toVector.distinct
-    val bigR  = CostModel.hyperPeriod(userV)
-    val wcg   = Wcg(userV, semantics)
+    val userV    = user.toVector.distinct
+    val bigR     = CostModel.hyperPeriod(userV)
     val existing = userV.toSet
-
-    def bestFor(target: Option[Window], downstream: Seq[Window]): Option[Window] =
-      if (downstream.isEmpty) None
-      else semantics match {
-        case Semantics.PartitionedBy
-            if target.forall(_.isTumbling) =>
-          algorithm4Best(target, downstream, existing, bigR, eta)
-        case _ =>
-          findBestGeneral(target, downstream, existing, semantics, bigR, eta)
-      }
-
-    val rootsDownstream = userV.filter(w => wcg.parentsOf(w).isEmpty)
-    val proposals =
-      bestFor(None, rootsDownstream).toVector ++
-        userV.flatMap(w => bestFor(Some(w), wcg.childrenOf(w)))
-    proposals.distinct.filterNot(existing.contains)
+    patterns(userV, semantics).flatMap { case (target, ds) =>
+      if (semantics == Semantics.PartitionedBy) algorithm4Best(target, ds, existing, bigR, eta)
+      else findBestGeneral(target, ds, existing, semantics, bigR, eta)
+    }.toVector.distinct
   }
 
   /** Algorithm 2 (plus the §4.3 safeguard): build the min-cost WCG over the

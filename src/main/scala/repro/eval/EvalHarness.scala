@@ -16,15 +16,15 @@ object EvalHarness {
   val BaseSeed          = 20220513L // fixed → reproducible tables
 
   /** The window-set generators of §5.2, keyed as in the paper. */
-  def generate(kind: String, seed: Long, n: Int = WindowsPerSet): Vector[Window] = {
+  def generate(kind: String, seed: Long): Vector[Window] = {
     val g = new WindowGen(seed)
     kind match {
-      case "random"          => g.randomSet(n)
-      case "random-tumbling" => g.randomTumblingSet(n)
-      case "chain"           => g.chainSet(n)
-      case "chain-tumbling"  => g.chainTumblingSet(n)
-      case "star"            => g.starSet(n)
-      case "star-tumbling"   => g.starTumblingSet(n)
+      case "random"          => g.randomSet(WindowsPerSet)
+      case "random-tumbling" => g.randomTumblingSet(WindowsPerSet)
+      case "chain"           => g.chainSet(WindowsPerSet)
+      case "chain-tumbling"  => g.chainTumblingSet(WindowsPerSet)
+      case "star"            => g.starSet(WindowsPerSet)
+      case "star-tumbling"   => g.starTumblingSet(WindowsPerSet)
       // Fig. 15 setup: 3 levels of 2/4/6 windows (base 2, +2 per level).
       case "dag"             => g.dagSet(levels = 3, base = 2, delta = 2, p = 0.5)
       case other             => throw new IllegalArgumentException(s"unknown generator '$other'")

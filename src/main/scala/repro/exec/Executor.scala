@@ -105,11 +105,8 @@ object Executor {
     require(plan.userWindows.nonEmpty, "empty window set")
     require(plan.semantics == agg.semantics,
       s"plan built for ${plan.semantics} but ${agg.name} needs ${agg.semantics}")
-    val nodes = plan.topological
-    val id = nodes.zipWithIndex.toMap
-    val depth = nodes.foldLeft(Map.empty[Window, Int]) { (d, w) =>
-      d + (w -> plan.parent(w).fold(0)(d(_) + 1))
-    }
+    val levels = plan.levels
+    val id = levels.flatten.zipWithIndex.toMap
     val partitions = events.sparkSession.conf.get("spark.sql.shuffle.partitions").toInt
 
     def aggregate(df: DataFrame, instances: Column, st: Column): DataFrame =
@@ -124,8 +121,8 @@ object Executor {
       concatInstances(plan.roots.map(w => nodeInstances(col("t"), col("t") + 1, w, id(w)))), col("st0"))
 
     val self = array(struct(col("node"), col("wstart")))
-    val last = (1 to depth.values.max).foldLeft(level0) { (up, d) =>
-      val parents = nodes.filter(w => depth(w) == d - 1 && plan.childrenOf(w).nonEmpty)
+    val last = levels.init.foldLeft(level0) { (up, level) =>
+      val parents = level.filter(plan.childrenOf(_).nonEmpty)
       val fanOut = byNode(id, parents.map { w =>
         val children = plan.childrenOf(w)
           .map(c => nodeInstances(col("wstart"), col("wstart") + w.r, c, id(c)))

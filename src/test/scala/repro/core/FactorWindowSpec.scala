@@ -224,6 +224,80 @@ class FactorWindowSpec extends AnyFunSuite with SeededProps {
     assert(cands.contains(w10))
   }
 
+  /** The exhaustive generator the finest/coarsest scan replaced: every
+    * range `r_f ∈ [s_f, r_min]` of every admissible slide, then the
+    * feasibility filter.
+    */
+  private def enumerated(target: Option[Window], downstream: Seq[Window],
+                         existing: Set[Window], semantics: Semantics): Seq[Window] = {
+    if (downstream.isEmpty) return Nil
+    val tw   = target.getOrElse(Window.virtualRoot)
+    val sd   = NumberTheory.gcdAll(downstream.map(w => BigInt(w.s))).toLong
+    val rMin = downstream.map(_.r).min
+    for {
+      sf <- NumberTheory.divisors(sd) if sf % tw.s == 0
+      rf <- (sf to rMin by sf)
+      wf = Window(rf, sf)
+      if !existing.contains(wf)
+      if wf != tw && wf != Window.virtualRoot
+      if semantics.relates(wf, tw) && wf.r > tw.r
+      if downstream.forall(wj => semantics.relates(wj, wf) && wj.r > wf.r)
+    } yield wf
+  }
+
+  /** Checks `candidates` against `enumerated` on every pattern Algorithm 2
+    * visits in `ws`, under both semantics and at eta 1 and 100. Sets whose
+    * recurrence counts are not integral (Equation 1) are outside the cost
+    * model and skipped; returns whether `ws` was checked.
+    */
+  private def agreesWithEnumeration(ws: Vector[Window]): Boolean = {
+    val bigR = CostModel.hyperPeriod(ws)
+    val inModel = ws.forall(w => (bigR - w.r) % w.s == 0)
+    if (inModel) for {
+      sem <- Seq(Semantics.CoveredBy, Semantics.PartitionedBy)
+      (target, ds) <- FactorWindows.patterns(ws, sem)
+    } {
+      val all   = enumerated(target, ds, ws.toSet, sem)
+      val cands = FactorWindows.candidates(target, ds, ws.toSet, sem)
+      val hint  = s"target=$target downstream=$ds ($sem)"
+      assert(cands.toSet.subsetOf(all.toSet), hint)
+      assert(cands.groupBy(_.s).values.forall(_.sizeIs <= 2), hint)
+      if (sem == Semantics.PartitionedBy) assert(cands == all, hint)
+      Seq(BigInt(1), BigInt(100)).foreach { eta =>
+        val best = all.map(wf => (wf, FactorWindows.delta(wf, target, ds, bigR, eta)))
+          .filter(_._2 < 0)
+          .minByOption { case (wf, d) => (d, -wf.r, -wf.s) }.map(_._1)
+        assert(FactorWindows.findBestGeneral(target, ds, ws.toSet, sem, bigR, eta) == best,
+          s"$hint eta=$eta")
+      }
+    }
+    inModel
+  }
+
+  test("candidates keep the enumeration's best window, at most two per slide (aligned sets)") {
+    sampled(300) { rnd => alignedSet(rnd, 5) } { ws => assert(agreesWithEnumeration(ws)) }
+  }
+
+  test("candidates keep the enumeration's best window, at most two per slide (any windows)") {
+    var (checked, offFootnote4) = (0, 0)
+    sampled(3000) { rnd => Vector.fill(2 + rnd.nextInt(3))(anyWindow(rnd)).distinct } { ws =>
+      if (agreesWithEnumeration(ws)) {
+        checked += 1
+        if (ws.exists(w => w.r % w.s != 0)) offFootnote4 += 1
+      }
+    }
+    assert(checked >= 250 && offFootnote4 >= 150,
+      s"$checked sets checked, $offFootnote4 of them with r mod s != 0")
+  }
+
+  test("batch-hopping windows: at most two candidates per slide at the virtual root") {
+    val ws = Vector(Window(40000, 10000), Window(80000, 20000), Window(120000, 40000))
+    val roots = FactorWindows.patterns(ws, Semantics.CoveredBy).head._2
+    assert(enumerated(None, roots, ws.toSet, Semantics.CoveredBy).size == 96818)
+    val cands = FactorWindows.candidates(None, roots, ws.toSet, Semantics.CoveredBy)
+    assert(cands.size <= 2 * NumberTheory.divisors(10000).size) // 50
+  }
+
   test("no candidates for an empty downstream set") {
     assert(FactorWindows.candidates(None, Nil, Set.empty, Semantics.CoveredBy).isEmpty)
     assert(FactorWindows.algorithm4Best(None, Nil, Set.empty, BigInt(10), 1).isEmpty)
@@ -233,6 +307,16 @@ class FactorWindowSpec extends AnyFunSuite with SeededProps {
     val downstream = Seq(Window.tumbling(20), Window.tumbling(30))
     assert(FactorWindows.algorithm4Best(Some(w10), downstream,
       downstream.toSet + w10, BigInt(120), 1).isEmpty)
+  }
+
+  test("Algorithm 2 plans partitioned-by sets with r mod s != 0, no worse than Algorithm 1") {
+    // Algorithm 3 assumes r ≡ 0 mod s (footnote 4); a single such
+    // downstream window is judged by the exact Equation 3 instead.
+    Seq(Seq(Window(12, 8)), Seq(Window(24, 16), Window.tumbling(4))).foreach { ws =>
+      val a1 = CostModel.minCostPlan(ws, Semantics.PartitionedBy, 1)
+      val a2 = FactorWindows.minCostPlanWithFactors(ws, Semantics.PartitionedBy, 1)
+      assert(a2.isForest && a2.totalCost <= a1.totalCost, s"$ws")
+    }
   }
 
   // ---- Algorithm 2 global properties --------------------------------------

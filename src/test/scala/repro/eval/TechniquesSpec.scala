@@ -83,10 +83,45 @@ class TechniquesSpec extends AnyFunSuite with SeededProps {
       (3024630, 3024630), (504672, 504672), (1008252, 257292),
       (1080000, 1080000), (14700000, 14700000), (72018, 24378))))
 
-  pinned.foreach { case (figure, kind, sem, want) =>
-    test(s"$figure plans at eta=100: (WCG, WCG-FW) of every set unchanged") {
+  // Every figure panel: the pins above, then Figures 11 and 12 at eta=1 and
+  // 10 and Figures 13-15 at eta=100 (chain, star and dag plans).
+  private val pinnedPanels = pinned.map { case (f, k, sem, want) => (f, k, sem, 100, want) } ++ Seq(
+    ("Figure 11", "random", Semantics.CoveredBy, 1, Seq[(BigInt, BigInt)](
+      (10311, 10206), (73499, 73499), (1266, 1266), (16161, 13286), (89347, 88512),
+      (22358, 22358), (30334, 30334), (30209, 29973), (49350, 42104), (3479, 3479))),
+    ("Figure 11", "random", Semantics.CoveredBy, 10, Seq[(BigInt, BigInt)](
+      (98493, 98388), (570947, 171048), (9852, 5960), (106035, 37422), (768343, 235290),
+      (217568, 54391), (277186, 79546), (262409, 71146), (351300, 122449), (32747, 8137))),
+    ("Figure 12", "random-tumbling", Semantics.PartitionedBy, 1, Seq[(BigInt, BigInt)](
+      (2205, 2205), (20520, 15480), (608, 608), (4060, 3430), (30870, 30870), (5712, 5712),
+      (10332, 7812), (10800, 10800), (147000, 147000), (738, 618))),
+    ("Figure 12", "random-tumbling", Semantics.PartitionedBy, 10, Seq[(BigInt, BigInt)](
+      (13545, 13545), (201960, 60840), (4928, 4928), (38080, 14770), (303030, 303030),
+      (51072, 51072), (101052, 30492), (108000, 108000), (1470000, 1470000), (7218, 2778))),
+    ("Figure 13(a)", "chain", Semantics.CoveredBy, 100, Seq[(BigInt, BigInt)](
+      (3016687, 517715), (4378167, 1119130), (1697019, 221443), (1720474, 436963),
+      (3495798, 514035), (248877, 85549), (8406075, 1240043), (3412237, 1155923),
+      (51821148, 7576619), (148000974, 18877093))),
+    ("Figure 13(b)", "chain-tumbling", Semantics.PartitionedBy, 100, Seq[(BigInt, BigInt)](
+      (192086, 192086), (179306, 179306), (115238, 115238), (172887, 172887), (604959, 604959),
+      (75663, 75663), (453756, 453756), (129681, 129681), (302484, 302484), (576108, 576108))),
+    ("Figure 14(a)", "star", Semantics.CoveredBy, 100, Seq[(BigInt, BigInt)](
+      (16462992, 2838996), (1309758, 336390), (543702, 74263), (13633637, 3453560),
+      (8709569, 1274930), (147698, 51314), (38847374, 5682444), (482889, 164889),
+      (24475122, 3572856), (68607737, 8756242))),
+    ("Figure 14(b)", "star-tumbling", Semantics.PartitionedBy, 100, Seq[(BigInt, BigInt)](
+      (1874184, 1874184), (941920, 941920), (576390, 576390), (432330, 432330),
+      (2949882, 2949882), (252390, 252330), (1324008, 1324008), (1427316, 1427316),
+      (14122080, 14122080), (5762400, 5762400))),
+    ("Figure 15", "dag", Semantics.CoveredBy, 100, Seq[(BigInt, BigInt)](
+      (21544984, 21544984), (234947594, 46780506), (16887074330L, 3984185540L),
+      (607984979, 216533982), (355100772, 59344798), (42448868, 11139369),
+      (179954789, 62382758), (21487311, 4221609), (1389815662, 329939984), (42132880, 3537460))))
+
+  pinnedPanels.foreach { case (figure, kind, sem, eta, want) =>
+    test(s"$figure plans at eta=$eta: (WCG, WCG-FW) of every set unchanged") {
       EvalHarness.sets(kind).zip(want).foreach { case ((label, ws), (wcg, wcgFw)) =>
-        val c = Techniques.evaluate(ws, sem, 100)
+        val c = Techniques.evaluate(ws, sem, eta)
         assert((c.wcg, c.wcgFw) == ((wcg, wcgFw)), s"$kind/$label")
       }
     }

@@ -198,10 +198,7 @@ class ExecutorSpec extends SparkSpec {
 
   // ---- plan shape: one exchange, one explode per forest level -------------
 
-  private def depthOf(plan: WcgPlan): Int = {
-    def d(w: Window): Int = plan.parent(w).fold(0)(d(_) + 1)
-    plan.allWindows.map(d).max
-  }
+  private def depthOf(plan: WcgPlan): Int = plan.levels.size - 1
 
   private def assertOneExchangePerForest(windows: Seq[Window], agg: AggSpec): Unit = {
     val plan = FactorWindows.minCostPlanWithFactors(windows, agg.semantics, 100)
