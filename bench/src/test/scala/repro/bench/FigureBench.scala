@@ -3,6 +3,7 @@ package repro.bench
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Semantics
 import repro.eval.{EvalHarness, Techniques, TechniqueCosts}
+import scala.collection.mutable
 
 /** Base for the per-figure benchmark suites: prints the figure's data table
   * (captured into bench_output.txt) and asserts the *shape* relations the
@@ -12,19 +13,17 @@ import repro.eval.{EvalHarness, Techniques, TechniqueCosts}
 abstract class FigureBench(figure: String, kind: String, sem: Semantics,
                            etas: Seq[Long]) extends AnyFunSuite {
 
-  /** Per-set costs at a given rate. */
+  private val costsByEta = mutable.Map.empty[Long, Seq[(String, TechniqueCosts)]]
+
+  /** Per-set costs at a given rate, evaluated once per rate. */
   protected def costs(eta: Long): Seq[(String, TechniqueCosts)] =
-    EvalHarness.sets(kind).map { case (label, ws) =>
+    costsByEta.getOrElseUpdate(eta, EvalHarness.sets(kind).map { case (label, ws) =>
       label -> Techniques.evaluate(ws, sem, eta)
-    }
+    })
 
   /** Geometric mean of `f(c)/BL` over the ten sets. */
-  protected def geo(eta: Long)(f: TechniqueCosts => BigInt): Double = {
-    val logs = costs(eta).map { case (_, c) =>
-      math.log(f(c).doubleValue / c.bl.doubleValue)
-    }
-    math.exp(logs.sum / logs.size)
-  }
+  protected def geo(eta: Long)(f: TechniqueCosts => BigInt): Double =
+    EvalHarness.geoMeanVsBl(costs(eta).map(_._2))(f)
 
   etas.foreach { eta =>
     test(s"$figure table at eta=$eta") {

@@ -6,10 +6,10 @@ import NumberTheory._
   * between a target window `W` (possibly the virtual root S⟨1,1⟩, modeled
   * here as `None` = the raw stream) and W's downstream windows `W_1…W_K`
   * (Figure 9), to reduce total cost. This object implements the exact
-  * benefit Δcost of Equation 2, one candidate generator (§4.2.1) shared by
-  * the general selection (§4.2) and Algorithm 4 (§4.4, with Algorithm 3,
-  * dependent-candidate pruning and Theorem 9), and Algorithm 2, which falls
-  * back to the Algorithm 1 plan when that is no worse (§4.3).
+  * benefit Δcost of Equation 2, one candidate generator (§4.2.1), one
+  * selector by exact Δ (§4.2, which under "partitioned by" reproduces
+  * Algorithm 4 of §4.4), and Algorithm 2, which falls back to the
+  * Algorithm 1 plan when that is no worse (§4.3).
   */
 object FactorWindows {
 
@@ -64,6 +64,15 @@ object FactorWindows {
     * (Δ < 0, Equation 3) pick the one with maximum estimated reduction
     * (Equation 2). Ties break toward the coarsest candidate (largest r,
     * then largest s) for determinism.
+    *
+    * Under "partitioned by" this is also Algorithm 4 (§4.4). Every candidate
+    * is tumbling, `W(s_f, s_f)`, so Δ is `Σ_j n_j·r_j/r_f` plus the factor
+    * window's own cost (`η·R` from the raw stream, `R/r_W` from a tumbling
+    * target), which does not depend on `r_f`: Δ strictly decreases in
+    * `r_f`. The coarsest candidate wins, as Theorem 9's `r_f ≥ r'_f` and
+    * dependent-candidate pruning pick it, and Algorithm 3 is `Δ ≤ 0`
+    * (Theorem 8). Only a break-even candidate (Δ = 0) differs: Equation 3
+    * declines it, Algorithm 3 would admit it.
     */
   def findBestGeneral(target: Option[Window], downstream: Seq[Window],
                       existing: Set[Window], semantics: Semantics,
@@ -73,99 +82,6 @@ object FactorWindows {
       .filter(_._2 < 0)
     if (cands.isEmpty) None
     else Some(cands.minBy { case (wf, d) => (d, -wf.r, -wf.s) }._1)
-  }
-
-  /** Algorithm 3: does a *tumbling* factor window `wf` inserted below the
-    * tumbling target `tw` (r_f a proper multiple of r_W) help, under
-    * "partitioned by" semantics? Exact per Theorem 8.
-    */
-  def algorithm3WouldHelp(wf: Window, tw: Window, downstream: Seq[Window],
-                          bigR: BigInt): Boolean = {
-    require(wf.isTumbling && tw.isTumbling, "Algorithm 3 assumes tumbling wf and W")
-    downstream match {
-      case ds if ds.sizeIs >= 2 => true
-      case Seq(w1) =>
-        val k1 = w1.k
-        if (k1 == 1) false
-        else {
-          val m1 = (bigR / w1.r)
-          // m1 = 1 makes λ = n1/m1 = 1 and Equation 7 infeasible (the
-          // paper's proof of Theorem 8 notes this degenerate case): no help.
-          if (m1 == 1) false
-          else if (k1 >= 3 && m1 >= 3) true
-          else {
-            // r_f/r_W ≥ λ/(λ−1) with λ/(λ−1) = 1 + m1/((m1−1)(k1−1));
-            // cross-multiplied in exact integer arithmetic.
-            val den = (m1 - 1) * (k1 - 1)
-            BigInt(wf.r) * den >= BigInt(tw.r) * (den + m1)
-          }
-        }
-      case _ => false // K = 0: nothing downstream to help
-    }
-  }
-
-  /** Theorem 9 comparator for two *independent* tumbling candidates under
-    * "partitioned by": returns true iff `c_f ≤ c'_f`, i.e. `wf` is at least
-    * as good as `wf2`. Evaluated via the exact `delta`s (the local costs
-    * minus a term common to both candidates), which Theorem 9 shows is
-    * equivalent to its rational inequality.
-    */
-  def theorem9AtLeastAsGood(wf: Window, wf2: Window, target: Option[Window],
-                            downstream: Seq[Window], bigR: BigInt,
-                            eta: BigInt): Boolean =
-    delta(wf, target, downstream, bigR, eta) <=
-      delta(wf2, target, downstream, bigR, eta)
-
-  /** The literal inequality of Theorem 9, in exact rational arithmetic:
-    * `r_f/r'_f ≥ (λ − r_f/r_W) / (λ − r'_f/r_W)` with `λ = Σ_j n_j/m_j`
-    * (Equation 4). Only well-posed when both denominators share a sign;
-    * exposed separately so tests can check it against the exact costs.
-    */
-  def theorem9Inequality(wf: Window, wf2: Window, tw: Window,
-                         downstream: Seq[Window], bigR: BigInt): Boolean = {
-    // λ = Σ n_j/m_j as an exact rational (num/den).
-    val (lNum, lDen) = downstream.foldLeft((BigInt(0), BigInt(1))) {
-      case ((num, den), wj) =>
-        val nj = CostModel.recurrenceCount(wj, bigR)
-        val mj = bigR / wj.r
-        (num * mj + nj * den, den * mj)
-    }
-    // (λ − r_f/r_W) = (lNum·r_W − r_f·lDen) / (lDen·r_W); denominators of
-    // both sides equal, so compare a/b ≥ c/d via cross-multiplication with
-    // sign handling.
-    val a = BigInt(wf.r); val b = BigInt(wf2.r)
-    val c = lNum * tw.r - a * lDen
-    val d = lNum * tw.r - b * lDen
-    if (d.signum == 0) a >= b // degenerate; fall back to range order
-    else if (d.signum > 0) a * d >= b * c
-    else a * d <= b * c
-  }
-
-  /** Algorithm 4: best tumbling factor window for target `target` (None =
-    * virtual root) under "partitioned by". Its candidates, the tumbling
-    * common factors of the downstream ranges and slides above `r_W` (none
-    * when their gcd is `r_W`, line 3), are filtered by Algorithm 3, pruned
-    * of dominated (dependent) ones — a candidate covered by a finer one is
-    * kept, the finer one dropped (§4.4.2) — and picked per Theorem 9.
-    */
-  def algorithm4Best(target: Option[Window], downstream: Seq[Window],
-                     existing: Set[Window], bigR: BigInt,
-                     eta: BigInt): Option[Window] = {
-    val tw = target.getOrElse(Window.virtualRoot)
-    require(tw.isTumbling, "Algorithm 4 assumes a tumbling target")
-    val cands = candidates(target, downstream, existing, Semantics.PartitionedBy)
-      .filter(wf => downstream match {
-        // Algorithm 3 needs r_1 ≡ 0 mod s_1 (footnote 4); else Equation 3.
-        case Seq(w1) if w1.r % w1.s != 0 => delta(wf, target, downstream, bigR, eta) < 0
-        case _ => algorithm3WouldHelp(wf, tw, downstream, bigR)
-      })
-    // Dependent-candidate pruning: if some other candidate w' satisfies
-    // w' ≼ wf (w' covered by wf, i.e. wf is finer), drop wf.
-    val pruned = cands.filterNot(wf =>
-      cands.exists(w2 => w2 != wf && w2.coveredBy(wf)))
-    if (pruned.isEmpty) None
-    else Some(pruned.minBy(wf =>
-      (delta(wf, target, downstream, bigR, eta), -wf.r)))
   }
 
   /** The Figure-9 patterns Algorithm 2 visits (lines 3–5): the virtual root
@@ -178,9 +94,8 @@ object FactorWindows {
       .filter(_._2.nonEmpty)
   }
 
-  /** One factor window proposed per Figure-9 pattern (Algorithm 2): by
-    * Algorithm 4 under "partitioned by", where only tumbling windows have
-    * downstream windows, and by `FindBestFactorWindow` under "covered by".
+  /** One factor window proposed per Figure-9 pattern (Algorithm 2), by
+    * `FindBestFactorWindow` under either semantics.
     */
   def proposeFactors(user: Seq[Window], semantics: Semantics,
                      eta: BigInt): Vector[Window] = {
@@ -188,8 +103,7 @@ object FactorWindows {
     val bigR     = CostModel.hyperPeriod(userV)
     val existing = userV.toSet
     patterns(userV, semantics).flatMap { case (target, ds) =>
-      if (semantics == Semantics.PartitionedBy) algorithm4Best(target, ds, existing, bigR, eta)
-      else findBestGeneral(target, ds, existing, semantics, bigR, eta)
+      findBestGeneral(target, ds, existing, semantics, bigR, eta)
     }.toVector.distinct
   }
 

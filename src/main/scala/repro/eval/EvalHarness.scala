@@ -35,6 +35,14 @@ object EvalHarness {
   def sets(kind: String): Seq[(String, Vector[Window])] =
     (1 to SetsPerExperiment).map(i => (s"set$i", generate(kind, BaseSeed + 1000L * i)))
 
+  /** Geometric mean of `f(c)/BL` over `costs`: the "shape" statistic
+    * recorded in EXPERIMENTS.md (the paper reports log-scale per-set bars).
+    */
+  def geoMeanVsBl(costs: Seq[TechniqueCosts])(f: TechniqueCosts => BigInt): Double = {
+    val logs = costs.map(c => math.log(f(c).doubleValue / c.bl.doubleValue))
+    math.exp(logs.sum / logs.size)
+  }
+
   /** Run one experiment (one figure panel): all sets × all techniques. */
   def runExperiment(title: String, kind: String, semantics: Semantics,
                     eta: Long): String = {
@@ -47,14 +55,7 @@ object EvalHarness {
     rows.foreach { case (label, ws, c) =>
       sb ++= f"$label%-6s ${c.bl}%14s ${c.up}%14s ${c.sp}%14s ${c.wcg}%14s ${c.wcgFw}%14s   ${ws.mkString(" ")}\n"
     }
-    // Geometric-mean cost ratios vs BL — the "shape" statistic recorded in
-    // EXPERIMENTS.md (the paper reports log-scale per-set bars).
-    def geoMeanRatio(f: TechniqueCosts => BigInt): Double = {
-      val logs = rows.map { case (_, _, c) =>
-        math.log(f(c).doubleValue / c.bl.doubleValue)
-      }
-      math.exp(logs.sum / logs.size)
-    }
+    val geoMeanRatio = geoMeanVsBl(rows.map(_._3)) _
     sb ++= f"geo-mean cost ratio vs BL:  UP=${geoMeanRatio(_.up)}%.4f  " +
       f"SP=${geoMeanRatio(_.sp)}%.4f  WCG=${geoMeanRatio(_.wcg)}%.4f  " +
       f"WCG-FW=${geoMeanRatio(_.wcgFw)}%.4f\n"

@@ -7,6 +7,56 @@ class FactorWindowSpec extends AnyFunSuite with SeededProps {
   private val ex7 = Seq(20L, 30L, 40L).map(Window.tumbling) // Example 7
   private val w10 = Window.tumbling(10)
 
+  /** Algorithm 3, the paper's closed form: does a *tumbling* factor window
+    * `wf` inserted below the tumbling target `tw` (r_f a proper multiple of
+    * r_W) help, under "partitioned by"? Theorem 8 says this is `Δ ≤ 0`.
+    */
+  private def algorithm3WouldHelp(wf: Window, tw: Window, downstream: Seq[Window],
+                                  bigR: BigInt): Boolean = {
+    require(wf.isTumbling && tw.isTumbling, "Algorithm 3 assumes tumbling wf and W")
+    downstream match {
+      case ds if ds.sizeIs >= 2 => true
+      case Seq(w1) =>
+        val k1 = w1.k
+        val m1 = bigR / w1.r
+        // m1 = 1 makes λ = n1/m1 = 1 and Equation 7 infeasible (the paper's
+        // proof of Theorem 8 notes this degenerate case): no help.
+        if (k1 == 1 || m1 == 1) false
+        else if (k1 >= 3 && m1 >= 3) true
+        else {
+          // r_f/r_W ≥ λ/(λ−1) with λ/(λ−1) = 1 + m1/((m1−1)(k1−1));
+          // cross-multiplied in exact integer arithmetic.
+          val den = (m1 - 1) * (k1 - 1)
+          BigInt(wf.r) * den >= BigInt(tw.r) * (den + m1)
+        }
+      case _ => false // K = 0: nothing downstream to help
+    }
+  }
+
+  /** The literal inequality of Theorem 9, in exact rational arithmetic:
+    * `r_f/r'_f ≥ (λ − r_f/r_W) / (λ − r'_f/r_W)` with `λ = Σ_j n_j/m_j`
+    * (Equation 4). Only well-posed when both denominators share a sign.
+    */
+  private def theorem9Inequality(wf: Window, wf2: Window, tw: Window,
+                                 downstream: Seq[Window], bigR: BigInt): Boolean = {
+    // λ = Σ n_j/m_j as an exact rational (num/den).
+    val (lNum, lDen) = downstream.foldLeft((BigInt(0), BigInt(1))) {
+      case ((num, den), wj) =>
+        val nj = CostModel.recurrenceCount(wj, bigR)
+        val mj = bigR / wj.r
+        (num * mj + nj * den, den * mj)
+    }
+    // (λ − r_f/r_W) = (lNum·r_W − r_f·lDen) / (lDen·r_W); denominators of
+    // both sides equal, so compare a/b ≥ c/d via cross-multiplication with
+    // sign handling.
+    val a = BigInt(wf.r); val b = BigInt(wf2.r)
+    val c = lNum * tw.r - a * lDen
+    val d = lNum * tw.r - b * lDen
+    if (d.signum == 0) a >= b // degenerate; fall back to range order
+    else if (d.signum > 0) a * d >= b * c
+    else a * d <= b * c
+  }
+
   // ---- Example 7: the headline factor-window result ----------------------
 
   test("Example 7: Algorithm 2 re-introduces W(10,10) and reaches cost 150") {
@@ -49,14 +99,15 @@ class FactorWindowSpec extends AnyFunSuite with SeededProps {
     val eligible = NumberTheory.divisors(10).filter(_ > 1).map(Window.tumbling)
     assert(eligible.toSet == Set(Window.tumbling(2), Window.tumbling(5), w10))
     eligible.foreach(wf =>
-      assert(FactorWindows.algorithm3WouldHelp(wf, Window.virtualRoot, downstream, bigR),
+      assert(algorithm3WouldHelp(wf, Window.virtualRoot, downstream, bigR),
         s"$wf should be beneficial (K=2)"))
   }
 
   test("Example 8: dependent pruning keeps W(10,10), drops W(5,5) and W(2,2)") {
     val bigR = CostModel.hyperPeriod(ex7)
     val downstream = Seq(Window.tumbling(20), Window.tumbling(30))
-    val best = FactorWindows.algorithm4Best(None, downstream, ex7.toSet, bigR, 1)
+    val best = FactorWindows.findBestGeneral(None, downstream, ex7.toSet,
+      Semantics.PartitionedBy, bigR, 1)
     assert(best.contains(w10))
   }
 
@@ -114,25 +165,25 @@ class FactorWindowSpec extends AnyFunSuite with SeededProps {
 
   test("Algorithm 3: K >= 2 is always beneficial") {
     val bigR = BigInt(240)
-    assert(FactorWindows.algorithm3WouldHelp(Window.tumbling(4), Window.tumbling(2),
+    assert(algorithm3WouldHelp(Window.tumbling(4), Window.tumbling(2),
       Seq(Window.tumbling(12), Window.tumbling(16)), bigR))
   }
 
   test("Algorithm 3 Case 1: K=1 with tumbling downstream never helps") {
     val bigR = BigInt(240)
-    assert(!FactorWindows.algorithm3WouldHelp(Window.tumbling(4), Window.tumbling(2),
+    assert(!algorithm3WouldHelp(Window.tumbling(4), Window.tumbling(2),
       Seq(Window.tumbling(16)), bigR))
   }
 
   test("Algorithm 3: K=1 hopping downstream with k1>=3, m1>=3 helps") {
     // W1(12,4): k1=3; R=48 -> m1=4.
-    assert(FactorWindows.algorithm3WouldHelp(Window.tumbling(4), Window.tumbling(2),
+    assert(algorithm3WouldHelp(Window.tumbling(4), Window.tumbling(2),
       Seq(Window(12, 4)), BigInt(48)))
   }
 
   test("Algorithm 3 rejects non-tumbling inputs") {
     assertThrows[IllegalArgumentException](
-      FactorWindows.algorithm3WouldHelp(Window(4, 2), Window.tumbling(2),
+      algorithm3WouldHelp(Window(4, 2), Window.tumbling(2),
         Seq(Window.tumbling(8)), BigInt(16)))
   }
 
@@ -153,7 +204,7 @@ class FactorWindowSpec extends AnyFunSuite with SeededProps {
       val wf = Window.tumbling(rf)
       val tw = Window.tumbling(rw)
       val target = if (rw == 1) None else Some(tw)
-      val alg3 = FactorWindows.algorithm3WouldHelp(wf, tw, Seq(w1), bigR)
+      val alg3 = algorithm3WouldHelp(wf, tw, Seq(w1), bigR)
       val d = FactorWindows.delta(wf, target, Seq(w1), bigR, 1)
       assert(alg3 == (d <= 0),
         s"Alg3=$alg3 but delta=$d for wf=$wf tw=$tw w1=$w1 R=$bigR")
@@ -181,7 +232,8 @@ class FactorWindowSpec extends AnyFunSuite with SeededProps {
       // independent candidates only (neither covers the other)
       if !wf1.coveredBy(wf2) && !wf2.coveredBy(wf1)
     } {
-      val exact = FactorWindows.theorem9AtLeastAsGood(wf1, wf2, None, ds, bigR, 1)
+      val exact = FactorWindows.delta(wf1, None, ds, bigR, 1) <=
+        FactorWindows.delta(wf2, None, ds, bigR, 1)
       // Theorem 9's proof shows the comparison collapses to r_f ≥ r'_f for
       // tumbling candidates of a common target (n_f = m_f cancels the
       // r_f/r_W terms) — check that everywhere...
@@ -192,7 +244,7 @@ class FactorWindowSpec extends AnyFunSuite with SeededProps {
       val lambda = ds.map(wj =>
         CostModel.recurrenceCount(wj, bigR).doubleValue / (bigR / wj.r).doubleValue).sum
       if (lambda > rf1.toDouble / tw.r && lambda > rf2.toDouble / tw.r) {
-        val thm = FactorWindows.theorem9Inequality(wf1, wf2, tw, ds, bigR)
+        val thm = theorem9Inequality(wf1, wf2, tw, ds, bigR)
         assert(exact == thm, s"wf1=$wf1 wf2=$wf2 ds=$ds: exact=$exact thm=$thm")
       }
     }
@@ -274,13 +326,19 @@ class FactorWindowSpec extends AnyFunSuite with SeededProps {
     inModel
   }
 
+  // The window sets both oracle properties sample.
+  private def sampledAligned(body: Vector[Window] => Unit): Unit =
+    sampled(300)(alignedSet(_, 5))(body)
+  private def sampledAny(body: Vector[Window] => Unit): Unit =
+    sampled(3000) { rnd => Vector.fill(2 + rnd.nextInt(3))(anyWindow(rnd)).distinct }(body)
+
   test("candidates keep the enumeration's best window, at most two per slide (aligned sets)") {
-    sampled(300) { rnd => alignedSet(rnd, 5) } { ws => assert(agreesWithEnumeration(ws)) }
+    sampledAligned(ws => assert(agreesWithEnumeration(ws)))
   }
 
   test("candidates keep the enumeration's best window, at most two per slide (any windows)") {
     var (checked, offFootnote4) = (0, 0)
-    sampled(3000) { rnd => Vector.fill(2 + rnd.nextInt(3))(anyWindow(rnd)).distinct } { ws =>
+    sampledAny { ws =>
       if (agreesWithEnumeration(ws)) {
         checked += 1
         if (ws.exists(w => w.r % w.s != 0)) offFootnote4 += 1
@@ -288,6 +346,61 @@ class FactorWindowSpec extends AnyFunSuite with SeededProps {
     }
     assert(checked >= 250 && offFootnote4 >= 150,
       s"$checked sets checked, $offFootnote4 of them with r mod s != 0")
+  }
+
+  /** Algorithm 4 as the exact-Δ choice on every partitioned-by pattern of
+    * `ws` (in the cost model): every candidate is tumbling, Δ strictly
+    * decreases in `r_f` at eta 1, 10 and 100, and `findBestGeneral` returns
+    * the coarsest candidate iff its Δ < 0. Returns the number of
+    * candidates of each pattern checked.
+    */
+  private def coarsestWins(ws: Vector[Window]): Seq[Int] = {
+    val bigR = CostModel.hyperPeriod(ws)
+    if (!ws.forall(w => (bigR - w.r) % w.s == 0)) Nil
+    else FactorWindows.patterns(ws, Semantics.PartitionedBy).map { case (target, ds) =>
+      val cands = FactorWindows.candidates(target, ds, ws.toSet, Semantics.PartitionedBy)
+        .sortBy(_.r)
+      val hint = s"target=$target downstream=$ds"
+      assert(cands.forall(_.isTumbling), hint)
+      Seq(BigInt(1), BigInt(10), BigInt(100)).foreach { eta =>
+        val deltas = cands.map(FactorWindows.delta(_, target, ds, bigR, eta))
+        assert(deltas.zip(deltas.drop(1)).forall { case (d1, d2) => d1 > d2 },
+          s"$hint eta=$eta: $cands $deltas")
+        val want = cands.lastOption.filter(_ => deltas.lastOption.exists(_ < 0))
+        assert(FactorWindows.findBestGeneral(target, ds, ws.toSet, Semantics.PartitionedBy,
+          bigR, eta) == want, s"$hint eta=$eta")
+      }
+      cands.size
+    }
+  }
+
+  test("Algorithm 4 is the exact-delta choice: the coarsest tumbling candidate, if its delta < 0") {
+    var sizes = Vector.empty[Int]
+    def check(ws: Vector[Window]): Unit = sizes ++= coarsestWins(ws)
+    sampledAligned(check)
+    sampledAny(check)
+    // Tumbling sets with common range factors, where patterns often have
+    // several candidates to rank.
+    sampled(300) { rnd => Vector.fill(4)(Window.tumbling(12 * (1 + rnd.nextLong(10)))).distinct }(check)
+    val several = sizes.count(_ >= 2)
+    assert(sizes.size >= 1300 && several >= 300,
+      s"${sizes.size} partitioned-by patterns checked, $several with >= 2 candidates")
+  }
+
+  test("Equation 3 is strict: a break-even factor window is not proposed") {
+    // Over {W(12,12), W(26,26)} (R = 156), W(2,2) from the raw stream has
+    // Δ = (13·6 + 6·13) + 156 − (13·12 + 6·26) = 0: Algorithm 3 admits it
+    // (K = 2), Equation 3 does not.
+    val pair = Seq(Window.tumbling(12), Window.tumbling(26))
+    assert(FactorWindows.delta(Window.tumbling(2), None, pair, 156, 1) == 0)
+    assert(FactorWindows.proposeFactors(pair, Semantics.PartitionedBy, 1).isEmpty)
+    // At eta = 10, W(12,12) between W(6,6) and {W(48,48), W(60,60)} has
+    // Δ = (35·4 + 28·5) + 1680/6 − (35·8 + 28·10) = 0; the plan skips it at
+    // the same cost.
+    val plan = FactorWindows.minCostPlanWithFactors(Seq(48L, 60L, 6L, 28L).map(Window.tumbling),
+      Semantics.PartitionedBy, 10)
+    assert(plan.factorWindows == Vector(Window.tumbling(2)))
+    assert(plan.totalCost == 19040)
   }
 
   test("batch-hopping windows: at most two candidates per slide at the virtual root") {
@@ -300,13 +413,14 @@ class FactorWindowSpec extends AnyFunSuite with SeededProps {
 
   test("no candidates for an empty downstream set") {
     assert(FactorWindows.candidates(None, Nil, Set.empty, Semantics.CoveredBy).isEmpty)
-    assert(FactorWindows.algorithm4Best(None, Nil, Set.empty, BigInt(10), 1).isEmpty)
+    assert(FactorWindows.findBestGeneral(None, Nil, Set.empty, Semantics.PartitionedBy,
+      BigInt(10), 1).isEmpty)
   }
 
   test("Algorithm 4 returns None when gcd equals the target range (line 3)") {
     val downstream = Seq(Window.tumbling(20), Window.tumbling(30))
-    assert(FactorWindows.algorithm4Best(Some(w10), downstream,
-      downstream.toSet + w10, BigInt(120), 1).isEmpty)
+    assert(FactorWindows.findBestGeneral(Some(w10), downstream, downstream.toSet + w10,
+      Semantics.PartitionedBy, BigInt(120), 1).isEmpty)
   }
 
   test("Algorithm 2 plans partitioned-by sets with r mod s != 0, no worse than Algorithm 1") {

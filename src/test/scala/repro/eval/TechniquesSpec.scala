@@ -127,6 +127,24 @@ class TechniquesSpec extends AnyFunSuite with SeededProps {
     }
   }
 
+  // Ranges of the tumbling factor windows in each set's WCG-FW plan, on the
+  // partitioned-by panels: set2, set4, set7 and set10 of Figure 12 use
+  // W(2,2) at every rate, set6 of Figure 14(b) uses W(42,42).
+  private val fig12Factors = Seq(Nil, Seq(2L), Nil, Seq(2L), Nil, Nil, Seq(2L), Nil, Nil, Seq(2L))
+  private val pinnedFactors = Seq(1, 10, 100).map(eta =>
+    ("Figure 12", "random-tumbling", eta, fig12Factors)) ++ Seq(
+    ("Figure 13(b)", "chain-tumbling", 100, Seq.fill(10)(Nil)),
+    ("Figure 14(b)", "star-tumbling", 100, Seq.fill(5)(Nil) ++ Seq(Seq(42L)) ++ Seq.fill(4)(Nil)))
+
+  pinnedFactors.foreach { case (figure, kind, eta, want) =>
+    test(s"$figure factor windows at eta=$eta: WCG-FW plan of every set unchanged") {
+      EvalHarness.sets(kind).zip(want).foreach { case ((label, ws), ranges) =>
+        val plan = FactorWindows.minCostPlanWithFactors(ws, Semantics.PartitionedBy, eta)
+        assert(plan.factorWindows == ranges.map(Window.tumbling), s"$kind/$label")
+      }
+    }
+  }
+
   test("a repeated window is evaluated once by every technique") {
     val ws = Seq(Window(12, 4), Window(20, 10))
     assert(Techniques.evaluate(ws :+ ws.head, Semantics.CoveredBy, 10) ==
