@@ -16,8 +16,9 @@ import repro.core.Semantics
   *
   * As scalars, over an [[AggSpec.State]] `(value, count)`: `lift` of one
   * value, `merge` of two states (`g` on the values, counts added) and
-  * `finish` (`h`). The in-memory slicer (`repro.slicing.SliceExec`) runs
-  * this form.
+  * `finish` (`h`). `ForestEval`, the per-partition body of
+  * `Executor.rewritten`, and the in-memory slicer `repro.slicing.SliceExec`
+  * run this form.
   *
   * `semantics` is the WCG relation the aggregate admits (footnote 5):
   * MIN/MAX remain distributive over *overlapping* covers (Theorem 6) and

@@ -1,6 +1,6 @@
 package repro.exec
 
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.{Column, DataFrame, Encoders}
 import org.apache.spark.sql.functions._
 import repro.core.{Window, WcgPlan}
 
@@ -10,16 +10,16 @@ import repro.core.{Window, WcgPlan}
   * min-cost WCG (Figure 2), where downstream windows consume the
   * sub-aggregates emitted by their upstream window.
   *
-  * This is the query-rewriting layer of §3.3: both plans are compositions
-  * of ordinary DataFrame operators (explode-based instance assignment +
-  * groupBy/agg), so no engine change is involved — exactly the paper's
-  * claim. The rewritten plan runs the whole forest behind one exchange on
-  * `k`, then one explode and one aggregation per forest level; each node's
-  * rows fan out to all its children, which is the batch form of the
-  * `Multicast` operator.
+  * This is the query-rewriting layer of §3.3, built from public Spark
+  * operators only, so no engine change is involved, as the paper claims.
+  * The baseline is explode-based instance assignment + groupBy/agg per
+  * window. The rewritten plan runs the whole forest behind one exchange on
+  * `k`, in one `mapPartitions` pass of `ForestEval`, where each node's
+  * sub-aggregates fan out to all its children: the `Multicast` operator.
   *
   * Input: events with integer event time `t` (in abstract time units ≥ 0),
-  * grouping key `k` (the `DeviceID` of Figure 1) and value `v`.
+  * grouping key `k` (the `DeviceID` of Figure 1) and value `v`; the
+  * rewritten plan needs all three non-null.
   *
   * Output schema: `(w_r, w_s, k, wstart, value)` — one row per window per
   * key per instance that saw at least one event.
@@ -82,73 +82,34 @@ object Executor {
       .reduce(_.unionAll(_))
   }
 
-  /** Rewritten plan: the whole min-cost WCG forest behind one exchange on
-    * `k`, evaluated level by level (right side of Figure 2(a)).
+  /** Rewritten plan: the whole min-cost WCG forest run per key in one
+    * pass behind one exchange on `k` (right side of Figure 2(a)).
     *
-    *  - The events are hash-partitioned once on `k`, into the session's
-    *    `spark.sql.shuffle.partitions` partitions. That partitioning
-    *    satisfies every later `groupBy(k, node, wstart)` and survives the
-    *    explodes, projections and aggregations, so the plan is one linear
-    *    chain with one exchange.
-    *  - Level 0 explodes each event into its `(node, wstart)` instances of
-    *    every root window at once and aggregates by `(k, node, wstart)`.
-    *  - Level d explodes each row of level d − 1 into the instances of its
-    *    children, and aggregates again. A user window also passes itself
-    *    through unchanged, so the last level holds exactly the user
-    *    windows; `node` then maps back to `(w_r, w_s)`.
+    *  - The events are projected to `(k, t, v)` as long, long, double and
+    *    hash-partitioned once on `k`, into the session's
+    *    `spark.sql.shuffle.partitions` partitions.
+    *  - Each partition runs `ForestEval`: every event is merged into the
+    *    instances of the roots containing it, then each node's instance
+    *    states fan out to its children level by level, the `Multicast` of
+    *    §3.3. The user windows' rows come out in the `output` schema.
     *
-    * Every WCG node is aggregated exactly once and its sub-aggregates fan
-    * out to all its children from the same rows: this is the `Multicast` of
-    * §3.3. Factor windows participate but are not exposed.
+    * The plan is one exchange and two stages whatever the forest's depth.
+    * Every WCG node is aggregated exactly once; factor windows participate
+    * but are not exposed. A partition's instance states stay in memory,
+    * without spilling, until its rows are emitted: one per (node, key,
+    * instance), as in the hash aggregation of a per-window plan.
     */
   def rewritten(events: DataFrame, plan: WcgPlan, agg: AggSpec): DataFrame = {
     require(plan.userWindows.nonEmpty, "empty window set")
     require(plan.semantics == agg.semantics,
       s"plan built for ${plan.semantics} but ${agg.name} needs ${agg.semantics}")
-    val levels = plan.levels
-    val id = levels.flatten.zipWithIndex.toMap
     val partitions = events.sparkSession.conf.get("spark.sql.shuffle.partitions").toInt
-
-    def aggregate(df: DataFrame, instances: Column, st: Column): DataFrame =
-      df.select(col("k"), inline(instances), st.as("st0"))
-        .groupBy(col("k"), col("node"), col("wstart"))
-        .agg(agg.merge(col("st0")).as("st"))
-
-    val keyed = events
-      .select(col("k"), col("t"), agg.lift(col("v")).as("st0"))
+    events
+      .select(col("k").cast("long"), col("t").cast("long"), col("v").cast("double"))
       .repartition(partitions, col("k"))
-    val level0 = aggregate(keyed,
-      concatInstances(plan.roots.map(w => nodeInstances(col("t"), col("t") + 1, w, id(w)))), col("st0"))
-
-    val self = array(struct(col("node"), col("wstart")))
-    val last = levels.init.foldLeft(level0) { (up, level) =>
-      val parents = level.filter(plan.childrenOf(_).nonEmpty)
-      val fanOut = byNode(id, parents.map { w =>
-        val children = plan.childrenOf(w)
-          .map(c => nodeInstances(col("wstart"), col("wstart") + w.r, c, id(c)))
-        w -> concatInstances(if (plan.userWindows.contains(w)) children :+ self else children)
-      })
-      aggregate(up, fanOut.otherwise(self), col("st"))
-    }
-
-    output(last, agg,
-      byNode(id, plan.userWindows.map(w => w -> lit(w.r))),
-      byNode(id, plan.userWindows.map(w => w -> lit(w.s))))
+      .as(Encoders.tuple(Encoders.scalaLong, Encoders.scalaLong, Encoders.scalaDouble))
+      .mapPartitions(ForestEval(plan, agg, _).rows)(Encoders.tuple(Encoders.scalaLong,
+        Encoders.scalaLong, Encoders.scalaLong, Encoders.scalaLong, Encoders.scalaDouble))
+      .toDF("w_r", "w_s", "k", "wstart", "value")
   }
-
-  /** `CASE node WHEN id(w) THEN value … END` over the `(w, value)` branches. */
-  private def byNode(id: Map[Window, Int], branches: Seq[(Window, Column)]): Column =
-    branches.tail.foldLeft(when(col("node") === id(branches.head._1), branches.head._2)) {
-      case (c, (w, value)) => c.when(col("node") === id(w), value)
-    }
-
-  /** The instances of `w` whose interval contains `[u, v)`, each as a
-    * `(node, wstart)` struct tagged with `w`'s node id.
-    */
-  private def nodeInstances(u: Column, v: Column, w: Window, node: Int): Column =
-    WindowAssign.instances(u, v, w, "struct<node:int,wstart:bigint>")(
-      wstart => struct(lit(node).as("node"), wstart.as("wstart")))
-
-  private def concatInstances(arrays: Seq[Column]): Column =
-    if (arrays.size == 1) arrays.head else concat(arrays: _*)
 }

@@ -14,32 +14,30 @@ import repro.core.Window
   * set of Definition 2 restricted to the spans present in the data.
   *
   * Division is exact integer floor-division built from `pmod`, so negative
-  * numerators (spans near the stream origin) round correctly.
+  * numerators (spans near the stream origin) round correctly and times past
+  * 2⁵³ (e.g. nanoseconds) stay exact. `ForestEval` runs the same formula on
+  * `Long`s.
   */
 object WindowAssign {
 
-  /** `⌊a / s⌋` for integer column `a` and positive literal `s`. */
+  /** `⌊a / s⌋` for integer column `a` and positive literal `s`: `a − (a mod s)`
+    * is a multiple of `s`, so the integral division `div` is exact.
+    */
   def floorDiv(a: Column, s: Long): Column =
-    ((a - pmod(a, lit(s))) / s).cast("long")
+    call_function("div", a - pmod(a, lit(s)), lit(s))
 
   /** `⌈a / s⌉` for integer column `a` and positive literal `s`. */
   def ceilDiv(a: Column, s: Long): Column = floorDiv(a + (s - 1), s)
 
-  /** The instances of `w` whose interval contains `[u, v)`, as an array of
-    * `f(wstart)` of type `array<elemType>`; empty when none does (e.g. a
-    * span straddling more than `r` units). One `transform` per call.
+  /** Array of instance start times of `w` whose interval contains `[u, v)`;
+    * empty when none does (e.g. a span straddling more than `r` units).
     */
-  def instances(u: Column, v: Column, w: Window, elemType: String)
-               (f: Column => Column): Column = {
+  def instanceStarts(u: Column, v: Column, w: Window): Column = {
     val mLo = greatest(lit(0L), ceilDiv(v - w.r, w.s))
     val mHi = floorDiv(u, w.s)
-    when(mHi >= mLo, transform(sequence(mLo, mHi), m => f(m * w.s)))
-      .otherwise(array().cast(s"array<$elemType>"))
+    when(mHi >= mLo, transform(sequence(mLo, mHi), m => m * w.s))
+      .otherwise(array().cast("array<bigint>"))
   }
-
-  /** Array of instance start times of `w` whose interval contains `[u, v)`. */
-  def instanceStarts(u: Column, v: Column, w: Window): Column =
-    instances(u, v, w, "bigint")(identity)
 
   /** Instance starts containing the unit span of an event at time `t`. */
   def instanceStartsForEvent(t: Column, w: Window): Column =

@@ -7,9 +7,10 @@ import repro.exec.AggSpec
   * partial-aggregate / final-aggregate data path that the Table 1 cost
   * model prices. Small-scale and single-threaded by design: it exists so
   * tests can prove the slice-edge sets are *correct* (window instances
-  * align with slice boundaries and recombine to the exact window results),
-  * which grounds the analytic slicing costs used in the evaluation. The
-  * production-scale data path of this reproduction is `repro.exec.Executor`.
+  * align with slice boundaries and recombine to the exact window results of
+  * `repro.exec.ForestEval` run on a forest without edges), which grounds the
+  * analytic slicing costs used in the evaluation. The production-scale data
+  * path of this reproduction is `repro.exec.Executor`.
   */
 object SliceExec {
 
@@ -51,12 +52,4 @@ object SliceExec {
       Option.when(states.nonEmpty)(a -> agg.finish(states.reduce(agg.merge(_, _))))
     }.toMap
   }
-
-  /** Direct (unsliced) evaluation of `w` — test oracle. */
-  def direct(w: Window, events: Seq[(Long, Double)], horizon: Long,
-             agg: AggSpec): Map[Long, Double] =
-    w.intervalsWithin(horizon).flatMap { case (a, b) =>
-      val inWin = events.collect { case (t, v) if t >= a && t < b => agg.lift(v) }
-      Option.when(inWin.nonEmpty)(a -> agg.finish(inWin.reduce(agg.merge(_, _))))
-    }.toMap
 }

@@ -1,7 +1,7 @@
 package repro.exec
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.execution.GenerateExec
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.execution.{GenerateExec, MapPartitionsExec}
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.sql.functions._
@@ -31,13 +31,16 @@ class ExecutorSpec extends SparkSpec {
     * value is compared with a tolerance (hierarchical AVG/SUM associate
     * float additions differently than the flat plan).
     */
-  private def keyed(df: DataFrame): Map[String, Double] =
-    df.collect().map { r =>
+  private def keyed(rows: Seq[Row]): Map[String, Double] =
+    rows.map { r =>
       val key = (0 until r.length - 1).map(i => String.valueOf(r.get(i))).mkString("|")
       key -> r.getDouble(r.length - 1)
     }.toMap
 
-  private def assertSameResults(a: DataFrame, b: DataFrame, hint: String): Unit = {
+  private def assertSameResults(a: DataFrame, b: DataFrame, hint: String): Unit =
+    assertSameRows(a.collect().toSeq, b.collect().toSeq, hint)
+
+  private def assertSameRows(a: Seq[Row], b: Seq[Row], hint: String): Unit = {
     val (ka, kb) = (keyed(a), keyed(b))
     assert(ka.keySet == kb.keySet,
       s"$hint: ${ka.size} vs ${kb.size} rows; " +
@@ -196,11 +199,11 @@ class ExecutorSpec extends SparkSpec {
     } finally ev.unpersist(blocking = true)
   }
 
-  // ---- plan shape: one exchange, one explode per forest level -------------
+  // ---- plan shape: one exchange, one map-partitions pass ------------------
 
   private def depthOf(plan: WcgPlan): Int = plan.levels.size - 1
 
-  private def assertOneExchangePerForest(windows: Seq[Window], agg: AggSpec): Unit = {
+  private def assertOnePassPerForest(windows: Seq[Window], agg: AggSpec): Unit = {
     val plan = FactorWindows.minCostPlanWithFactors(windows, agg.semantics, 100)
     assert(depthOf(plan) >= 1, s"plan too shallow to test: ${plan.parent}")
     val df = Executor.rewritten(events(3000, 480), plan, agg)
@@ -208,16 +211,102 @@ class ExecutorSpec extends SparkSpec {
     val executed = AqePlan.stripAQEPlan(df.queryExecution.executedPlan)
     val exchanges = AqePlan.collect(executed) { case e: ShuffleExchangeExec => e }
     val generates = AqePlan.collect(executed) { case g: GenerateExec => g }
-    assert(exchanges.size == 1, s"expected one exchange:\n$executed")
-    assert(generates.size == depthOf(plan) + 1, s"expected one explode per level:\n$executed")
+    val passes = AqePlan.collect(executed) { case m: MapPartitionsExec => m }
+    val shape = s"depth ${depthOf(plan)}:\n$executed"
+    assert(exchanges.size == 1, s"expected one exchange, $shape")
+    assert(generates.isEmpty, s"expected no explode, $shape")
+    assert(passes.size == 1, s"expected one map-partitions pass, $shape")
   }
 
-  test("Example 7 with factor windows runs behind one exchange, one explode per level") {
-    assertOneExchangePerForest(ex7, AggSpec.Sum)
+  test("Example 7 with factor windows runs behind one exchange in one pass") {
+    assertOnePassPerForest(ex7, AggSpec.Sum)
   }
 
-  test("hopping factor-window plan runs behind one exchange, one explode per level") {
-    assertOneExchangePerForest(Seq(Window(40, 10), Window(80, 20), Window(120, 40)), AggSpec.Min)
+  test("hopping factor-window plan runs behind one exchange in one pass") {
+    assertOnePassPerForest(Seq(Window(40, 10), Window(80, 20), Window(120, 40)), AggSpec.Min)
+  }
+
+  test("a depth-2 pass-through plan runs behind one exchange in one pass") {
+    assertOnePassPerForest(Seq(5L, 10L, 20L).map(Window.tumbling), AggSpec.Count)
+  }
+
+  // ---- sampled plans against the baseline and DuckDB ----------------------
+
+  private val duckAgg = Map[AggSpec, String](
+    AggSpec.Min -> "MIN(CAST(e.v AS DOUBLE))", AggSpec.Max -> "MAX(CAST(e.v AS DOUBLE))",
+    AggSpec.Sum -> "SUM(CAST(e.v AS DOUBLE))", AggSpec.Count -> "COUNT(*)",
+    AggSpec.Avg -> "AVG(CAST(e.v AS DOUBLE))")
+
+  /** The `(w_r, w_s, k, wstart, value)` rows of every window, in DuckDB. */
+  private def oracleSql(ws: Seq[Window], agg: AggSpec, horizon: Long): String =
+    ws.distinct.map { w =>
+      s"""SELECT CAST(${w.r} AS BIGINT) AS w_r, CAST(${w.s} AS BIGINT) AS w_s,
+         |       CAST(e.k AS BIGINT) AS k, ws.a AS wstart,
+         |       CAST(${duckAgg(agg)} AS DOUBLE) AS value
+         |FROM events e, (SELECT range AS a FROM range(0, $horizon, ${w.s})) ws
+         |WHERE CAST(e.t AS BIGINT) >= ws.a AND CAST(e.t AS BIGINT) < ws.a + ${w.r}
+         |GROUP BY 1, 2, 3, 4""".stripMargin
+    }.mkString("\nUNION ALL\n")
+
+  /** The factor-window plan of `ws` run by `rewritten` equals the baseline
+    * and DuckDB, on `horizon` time units of events in `ev`'s session, at
+    * the tolerance of `assertSameResults`: a hierarchical sum adds in
+    * another order than a flat one, so values may differ in the last bits.
+    */
+  private def checkAgainstOracle(ws: Seq[Window], agg: AggSpec, ev: DataFrame,
+                                 horizon: Long, hint: String): Unit = {
+    val plan = FactorWindows.minCostPlanWithFactors(ws, agg.semantics, 100)
+    val rew = Executor.rewritten(ev, plan, agg)
+    val rows = rew.collect().toSeq
+    assertSameRows(Executor.baseline(ev, ws, agg).collect().toSeq, rows, s"$hint (agg=${agg.name})")
+    val (cols, duck) = Oracle.query(oracleSql(ws, agg, horizon), "events" -> ev)
+    assert(cols == rew.columns.toSeq)
+    assertSameRows(duck, rows, s"$hint (agg=${agg.name}, DuckDB)")
+  }
+
+  (1L to 3L).foreach { seed =>
+    test(s"sampled hopping plans (seed $seed): rewritten == baseline == DuckDB, MIN/MAX") {
+      val ws = new WindowGen(seed + 200, sMax = 6, kMax = 4).chainSet(3)
+      assert(ws.exists(!_.isTumbling) &&
+        FactorWindows.minCostPlanWithFactors(ws, Semantics.CoveredBy, 100).factorWindows.nonEmpty)
+      val ev = events(1500, 240, keys = 3, seed = seed + 300)
+      Seq(AggSpec.Min, AggSpec.Max).foreach(agg =>
+        checkAgainstOracle(ws, agg, ev, 240, s"hopping seed=$seed $ws"))
+    }
+    test(s"sampled partitioned-by plans (seed $seed): rewritten == baseline == DuckDB") {
+      val g = new WindowGen(seed + 400, sMax = 5, kMax = 4)
+      val ws = g.randomTumblingSet(3) :+ g.randomWindow()
+      val ev = events(1500, 240, keys = 3, seed = seed + 500)
+      Seq(AggSpec.Sum, AggSpec.Count, AggSpec.Avg).foreach(agg =>
+        checkAgainstOracle(ws, agg, ev, 240, s"partitioned-by seed=$seed $ws"))
+    }
+  }
+
+  Seq(1, 16).foreach { partitions =>
+    test(s"rewritten == baseline == DuckDB with $partitions shuffle partitions for 3 keys") {
+      val session = spark.newSession()
+      session.conf.set("spark.sql.shuffle.partitions", partitions.toString)
+      val ev = SynthData.events(session, 1500, 240, 3, 11)
+      checkAgainstOracle(Seq(Window(40, 10), Window(80, 20), Window(120, 40)), AggSpec.Min,
+        ev, 240, s"$partitions partitions")
+      checkAgainstOracle(ex7, AggSpec.Avg, ev, 240, s"$partitions partitions")
+    }
+  }
+
+  test("nanosecond event times: rewritten == baseline") {
+    // Past 2^53 a double no longer holds every long: the instance of an
+    // event must still come out of exact integer arithmetic.
+    val t0 = 1700000000000000000L
+    val ev = events(1500, 120).withColumn("t", col("t") + t0)
+    val ws = Seq(Window(10, 10), Window(20, 10), Window(40, 20))
+    Seq(AggSpec.Count, AggSpec.Max).foreach(agg =>
+      checkPlanEquality(ws, agg, ev, withFactors = true, "nanoseconds"))
+    val counts = Executor.baseline(ev, Seq(Window(10, 10)), AggSpec.Count)
+      .select(col("k"), col("wstart"), col("value"))
+    Oracle.assertEquivalent(counts,
+      s"""SELECT CAST(e.k AS BIGINT) AS k, CAST(e.t AS BIGINT) // 10 * 10 AS wstart,
+         |       CAST(COUNT(*) AS DOUBLE) AS value
+         |FROM events e GROUP BY 1, 2""".stripMargin, "events" -> ev)
   }
 
   // ---- forest shapes and column names --------------------------------------

@@ -27,6 +27,22 @@ class WindowAssignSpec extends SparkSpec {
     }
   }
 
+  test("floorDiv, ceilDiv and event assignment are exact on longs near 2^60") {
+    val as = Seq(1700000000000000123L, (1L << 60) + 7, -(1L << 60) - 7, (1L << 62) + 1)
+    Seq(3L, 10L, 1000L).foreach { s =>
+      as.toDF("a")
+        .select($"a", WindowAssign.floorDiv($"a", s), WindowAssign.ceilDiv($"a", s),
+          WindowAssign.instanceStartsForEvent($"a", Window.tumbling(s)))
+        .collect().foreach { r =>
+          val a = r.getLong(0)
+          assert(r.getLong(1) == Math.floorDiv(a, s), s"floorDiv($a,$s)")
+          assert(r.getLong(2) == -Math.floorDiv(-a, s), s"ceilDiv($a,$s)")
+          val starts = if (a < 0) Nil else Seq(Math.floorDiv(a, s) * s)
+          assert(r.getSeq[Long](3) == starts, s"instance of t=$a in W($s,$s)")
+        }
+    }
+  }
+
   test("event instance assignment matches brute force for every window shape") {
     val ts = (0L until 60L).toDF("t")
     windows.foreach { w =>

@@ -1,8 +1,8 @@
 package repro.slicing
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{NumberTheory, SeededProps, Window}
-import repro.exec.AggSpec
+import repro.core.{CostModel, NumberTheory, SeededProps, WcgPlan, Window}
+import repro.exec.{AggSpec, ForestEval}
 
 class SlicingSpec extends AnyFunSuite with SeededProps {
 
@@ -145,9 +145,15 @@ class SlicingSpec extends AnyFunSuite with SeededProps {
     val composed = ws.flatMap(edges)
     val bounds = Slicing.edgePositions(composed, horizon)
     val partials = SliceExec.slicePartials(events, bounds, agg)
+    // Direct evaluation: every window from the raw events, no WCG edges.
+    val edgeless = WcgPlan(ws.toVector.distinct, Vector.empty,
+      ws.map(_ -> Option.empty[Window]).toMap, agg.semantics, 1, CostModel.hyperPeriod(ws))
+    val forest = ForestEval(edgeless, agg, events.iterator.map { case (t, v) => (0L, t, v) })
     ws.foreach { w =>
       val fromSlices = SliceExec.windowFromSlices(w, bounds, partials, horizon, agg)
-      val direct = SliceExec.direct(w, events, horizon, agg)
+      val direct = forest.rows.collect {
+        case (w.r, w.s, _, a, v) if a + w.r <= horizon => a -> v
+      }.toMap
       assert(fromSlices.keySet == direct.keySet, s"$w instances differ")
       fromSlices.foreach { case (a, v) =>
         assert(math.abs(v - direct(a)) < 1e-9, s"$w @ $a: $v vs ${direct(a)}")
