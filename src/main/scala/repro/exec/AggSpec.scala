@@ -16,7 +16,7 @@ import repro.core.Semantics
   *
   * As scalars, over an [[AggSpec.State]] `(value, count)`: `lift` of one
   * value, `merge` of two states (`g` on the values, counts added) and
-  * `finish` (`h`). `ForestEval`, the per-partition body of
+  * `finish` (`h`). `ForestEval`, the map- and reduce-side body of
   * `Executor.rewritten`, and the in-memory slicer `repro.slicing.SliceExec`
   * run this form.
   *

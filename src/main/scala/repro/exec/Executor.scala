@@ -1,7 +1,10 @@
 package repro.exec
 
-import org.apache.spark.sql.{Column, DataFrame, Encoders}
+import org.apache.spark.HashPartitioner
+import org.apache.spark.sql.{Column, DataFrame, Row}
+import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{DoubleType, LongType, StructField, StructType}
 import repro.core.{Window, WcgPlan}
 
 /** Executes a multi-window aggregate query over an event DataFrame, either
@@ -13,13 +16,16 @@ import repro.core.{Window, WcgPlan}
   * This is the query-rewriting layer of §3.3, built from public Spark
   * operators only, so no engine change is involved, as the paper claims.
   * The baseline is explode-based instance assignment + groupBy/agg per
-  * window. The rewritten plan runs the whole forest behind one exchange on
-  * `k`, in one `mapPartitions` pass of `ForestEval`, where each node's
-  * sub-aggregates fan out to all its children: the `Multicast` operator.
+  * window. The rewritten plan runs the whole forest as one Spark job: each
+  * input partition merges its events into per-key panes, one shuffle on `k`
+  * brings a key's panes together, and `ForestEval` runs the forest there,
+  * where each node's sub-aggregates fan out to all its children: the
+  * `Multicast` operator.
   *
   * Input: events with integer event time `t` (in abstract time units ≥ 0),
-  * grouping key `k` (the `DeviceID` of Figure 1) and value `v`; the
-  * rewritten plan needs all three non-null.
+  * grouping key `k` (the `DeviceID` of Figure 1) and value `v`. Both plans
+  * drop an event whose `t` is null; the rewritten plan needs `k` and `v`
+  * non-null.
   *
   * Output schema: `(w_r, w_s, k, wstart, value)` — one row per window per
   * key per instance that saw at least one event.
@@ -82,34 +88,63 @@ object Executor {
       .reduce(_.unionAll(_))
   }
 
-  /** Rewritten plan: the whole min-cost WCG forest run per key in one
-    * pass behind one exchange on `k` (right side of Figure 2(a)).
+  /** The schema of `output`, for rows made outside Catalyst. */
+  private val outputSchema = StructType(
+    Seq("w_r", "w_s", "k", "wstart").map(StructField(_, LongType, nullable = false)) :+
+      StructField("value", DoubleType, nullable = false))
+
+  /** Rewritten plan: the whole min-cost WCG forest run per key as one
+    * Spark job over one shuffle on `k` (right side of Figure 2(a)).
     *
-    *  - The events are projected to `(k, t, v)` as long, long, double and
-    *    hash-partitioned once on `k`, into the session's
+    *  - Map side: the events are projected to `(k, t, v)` as long, long,
+    *    double, and each input partition merges them per key into panes of
+    *    length `ForestEval.paneLength(plan)`, the gcd of the roots' ranges
+    *    and slides. It ships one record per key: that key's panes as
+    *    primitive arrays.
+    *  - Shuffle: one `HashPartitioner` on `k`, into the session's
     *    `spark.sql.shuffle.partitions` partitions.
-    *  - Each partition runs `ForestEval`: every event is merged into the
+    *  - Reduce side: `ForestEval.fromPanes` merges each pane into the
     *    instances of the roots containing it, then each node's instance
     *    states fan out to its children level by level, the `Multicast` of
     *    §3.3. The user windows' rows come out in the `output` schema.
     *
-    * The plan is one exchange and two stages whatever the forest's depth.
+    * A collect is one job of two stages whatever the forest's depth, and
+    * the shuffle carries at most one record per (input partition, key).
     * Every WCG node is aggregated exactly once; factor windows participate
     * but are not exposed. A partition's instance states stay in memory,
     * without spilling, until its rows are emitted: one per (node, key,
     * instance), as in the hash aggregation of a per-window plan.
+    *
+    * Nulls: an event with a null `t` is dropped, as `baseline` drops it.
+    * A null `k` or `v` fails the job: the action throws with, as its cause,
+    * an `IllegalArgumentException` naming the column.
     */
   def rewritten(events: DataFrame, plan: WcgPlan, agg: AggSpec): DataFrame = {
     require(plan.userWindows.nonEmpty, "empty window set")
     require(plan.semantics == agg.semantics,
       s"plan built for ${plan.semantics} but ${agg.name} needs ${agg.semantics}")
-    val partitions = events.sparkSession.conf.get("spark.sql.shuffle.partitions").toInt
-    events
+    val spark = events.sparkSession
+    val partitions = spark.conf.get("spark.sql.shuffle.partitions").toInt
+    val g = ForestEval.paneLength(plan)
+    val rows = events
       .select(col("k").cast("long"), col("t").cast("long"), col("v").cast("double"))
-      .repartition(partitions, col("k"))
-      .as(Encoders.tuple(Encoders.scalaLong, Encoders.scalaLong, Encoders.scalaDouble))
-      .mapPartitions(ForestEval(plan, agg, _).rows)(Encoders.tuple(Encoders.scalaLong,
-        Encoders.scalaLong, Encoders.scalaLong, Encoders.scalaLong, Encoders.scalaDouble))
-      .toDF("w_r", "w_s", "k", "wstart", "value")
+      .queryExecution.toRdd
+      .mapPartitions(in => ForestEval.panes(g, agg, in.filterNot(_.isNullAt(1)).map(event)))
+      .partitionBy(new HashPartitioner(partitions))
+      .mapPartitions(ForestEval.fromPanes(plan, agg, _).rows.map(Row.fromTuple))
+    spark.createDataFrame(rows, outputSchema)
   }
+
+  /** The `(k, t, v)` of a projected event with a non-null `t`, read before
+    * its (reused) row advances.
+    */
+  private def event(row: InternalRow): (Long, Long, Double) = {
+    if (row.isNullAt(0)) throw nullIn("k", row)
+    if (row.isNullAt(2)) throw nullIn("v", row)
+    (row.getLong(0), row.getLong(1), row.getDouble(2))
+  }
+
+  private def nullIn(column: String, row: InternalRow): IllegalArgumentException =
+    new IllegalArgumentException(
+      s"rewritten plan: the event at t=${row.getLong(1)} has a null $column")
 }

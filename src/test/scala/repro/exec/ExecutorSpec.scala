@@ -1,7 +1,11 @@
 package repro.exec
 
+import java.util.concurrent.{ConcurrentLinkedQueue, CountDownLatch, TimeUnit}
+import org.apache.spark.ShuffleDependency
+import org.apache.spark.rdd.RDD
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.execution.{GenerateExec, MapPartitionsExec}
+import org.apache.spark.sql.execution.GenerateExec
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.sql.functions._
@@ -9,6 +13,7 @@ import org.apache.spark.storage.StorageLevel
 import repro.{Oracle, SparkSpec, SynthData}
 import repro.core._
 import repro.gen.WindowGen
+import scala.jdk.CollectionConverters._
 
 /** End-to-end correctness of the rewriting: the hierarchical (min-cost WCG)
   * plan must return exactly the baseline plan's rows, for every aggregate,
@@ -199,35 +204,70 @@ class ExecutorSpec extends SparkSpec {
     } finally ev.unpersist(blocking = true)
   }
 
-  // ---- plan shape: one exchange, one map-partitions pass ------------------
+  // ---- plan shape: one job over one key shuffle ---------------------------
 
   private def depthOf(plan: WcgPlan): Int = plan.levels.size - 1
 
-  private def assertOnePassPerForest(windows: Seq[Window], agg: AggSpec): Unit = {
+  /** The number of stages of each job that `body` runs on this thread, in
+    * order. A marker job run after `body` proves that the listener has seen
+    * every job `body` started: the listener bus delivers events in order.
+    */
+  private def stagesPerJob(body: => Unit): Seq[Int] = {
+    val sc = spark.sparkContext
+    val (key, tag) = ("repro.test.jobs", s"jobs-${System.nanoTime}")
+    val seen = new ConcurrentLinkedQueue[Int]
+    val markerSeen = new CountDownLatch(1)
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).map(_.getProperty(key)).orNull match {
+          case `tag` => seen.add(e.stageInfos.size)
+          case t if t == s"$tag.marker" => markerSeen.countDown()
+          case _ =>
+        }
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setLocalProperty(key, tag)
+      body
+      sc.setLocalProperty(key, s"$tag.marker")
+      sc.parallelize(Seq(1), 1).count()
+      assert(markerSeen.await(60, TimeUnit.SECONDS), "listener never saw the marker job")
+    } finally {
+      sc.setLocalProperty(key, null)
+      sc.removeSparkListener(listener)
+    }
+    seen.asScala.toSeq
+  }
+
+  /** Shuffle dependencies in the lineage of `rdd`. */
+  private def shuffleDependencies(rdd: RDD[_]): Int = rdd.dependencies.map {
+    case d: ShuffleDependency[_, _, _] => 1 + shuffleDependencies(d.rdd)
+    case d => shuffleDependencies(d.rdd)
+  }.sum
+
+  private def assertOneJobPerForest(windows: Seq[Window], agg: AggSpec): Unit = {
     val plan = FactorWindows.minCostPlanWithFactors(windows, agg.semantics, 100)
     assert(depthOf(plan) >= 1, s"plan too shallow to test: ${plan.parent}")
     val df = Executor.rewritten(events(3000, 480), plan, agg)
-    df.collect()
+    assert(stagesPerJob(df.collect()) == Seq(2), s"expected one job of two stages, depth ${depthOf(plan)}")
+    assert(shuffleDependencies(df.queryExecution.toRdd) == 1, df.queryExecution.toRdd.toDebugString)
     val executed = AqePlan.stripAQEPlan(df.queryExecution.executedPlan)
-    val exchanges = AqePlan.collect(executed) { case e: ShuffleExchangeExec => e }
-    val generates = AqePlan.collect(executed) { case g: GenerateExec => g }
-    val passes = AqePlan.collect(executed) { case m: MapPartitionsExec => m }
-    val shape = s"depth ${depthOf(plan)}:\n$executed"
-    assert(exchanges.size == 1, s"expected one exchange, $shape")
-    assert(generates.isEmpty, s"expected no explode, $shape")
-    assert(passes.size == 1, s"expected one map-partitions pass, $shape")
+    assert(AqePlan.collect(executed) { case e: ShuffleExchangeExec => e }.isEmpty,
+      s"expected no exchange:\n$executed")
+    assert(AqePlan.collect(executed) { case g: GenerateExec => g }.isEmpty,
+      s"expected no explode:\n$executed")
   }
 
-  test("Example 7 with factor windows runs behind one exchange in one pass") {
-    assertOnePassPerForest(ex7, AggSpec.Sum)
+  test("Example 7 with factor windows runs as one job over one key shuffle") {
+    assertOneJobPerForest(ex7, AggSpec.Sum)
   }
 
-  test("hopping factor-window plan runs behind one exchange in one pass") {
-    assertOnePassPerForest(Seq(Window(40, 10), Window(80, 20), Window(120, 40)), AggSpec.Min)
+  test("hopping factor-window plan runs as one job over one key shuffle") {
+    assertOneJobPerForest(Seq(Window(40, 10), Window(80, 20), Window(120, 40)), AggSpec.Min)
   }
 
-  test("a depth-2 pass-through plan runs behind one exchange in one pass") {
-    assertOnePassPerForest(Seq(5L, 10L, 20L).map(Window.tumbling), AggSpec.Count)
+  test("a depth-2 pass-through plan runs as one job over one key shuffle") {
+    assertOneJobPerForest(Seq(5L, 10L, 20L).map(Window.tumbling), AggSpec.Count)
   }
 
   // ---- sampled plans against the baseline and DuckDB ----------------------
@@ -291,6 +331,15 @@ class ExecutorSpec extends SparkSpec {
         ev, 240, s"$partitions partitions")
       checkAgainstOracle(ex7, AggSpec.Avg, ev, 240, s"$partitions partitions")
     }
+  }
+
+  test("pane states of one key from 7 input partitions merge: rewritten == baseline == DuckDB") {
+    val ev = SynthData.events(spark, 1500, 240, 3, 13).repartition(7)
+    assert(ev.rdd.getNumPartitions == 7)
+    Seq(AggSpec.Sum, AggSpec.Count, AggSpec.Avg).foreach(agg =>
+      checkAgainstOracle(ex7, agg, ev, 240, "7 input partitions"))
+    checkAgainstOracle(Seq(Window(40, 10), Window(80, 20), Window(120, 40)), AggSpec.Min,
+      ev, 240, "7 input partitions, hopping")
   }
 
   test("nanosecond event times: rewritten == baseline") {
@@ -380,5 +429,43 @@ class ExecutorSpec extends SparkSpec {
     val df = Executor.baseline(ev, Seq(Window(10, 2)), AggSpec.Min)
     val row0 = df.filter($"wstart" === 0).collect()
     assert(row0.length == 1 && row0(0).getAs[Double]("value") == 3.0)
+  }
+
+  // ---- nulls ----------------------------------------------------------------
+
+  /** Events (t=1, v=5.0), (t=2, v), (t=null, v=3.0), the second with key
+    * `k` and the others with key 1.
+    */
+  private def nullRows(k: java.lang.Long, v: java.lang.Double): DataFrame = {
+    import spark.implicits._
+    Seq[(java.lang.Long, java.lang.Long, java.lang.Double)](
+      (1L, 1L, 5.0), (2L, k, v), (null, 1L, 3.0)).toDF("t", "k", "v")
+  }
+
+  private val nullPlan = CostModel.minCostPlan(
+    Seq(Window(10, 10), Window(20, 20)), Semantics.CoveredBy, 1)
+
+  /** The `IllegalArgumentException` in the causes of what `body` threw. */
+  private def illegalArgument(body: => Any): IllegalArgumentException = {
+    val thrown = intercept[Exception](body)
+    Iterator.iterate[Throwable](thrown)(_.getCause).takeWhile(_ != null)
+      .collectFirst { case e: IllegalArgumentException => e }
+      .getOrElse(fail(s"no IllegalArgumentException in the causes of $thrown"))
+  }
+
+  test("rewritten drops an event with a null t, as the baseline does") {
+    // Read as t = 0, the last event would lower both minima to 3.0.
+    val ev = nullRows(1L, 4.0)
+    val rew = Executor.rewritten(ev, nullPlan, AggSpec.Min).collect().toSeq
+    assertSameRows(Executor.baseline(ev, nullPlan.userWindows, AggSpec.Min).collect().toSeq,
+      rew, "null t")
+    assert(rew.map(r => (r.getLong(0), r.getDouble(4))).toSet == Set((10L, 4.0), (20L, 4.0)))
+  }
+
+  test("rewritten fails an event with a null v or k, naming the column") {
+    val nullV = illegalArgument(Executor.rewritten(nullRows(1L, null), nullPlan, AggSpec.Min).collect())
+    assert(nullV.getMessage.contains("null v"), nullV.getMessage)
+    val nullK = illegalArgument(Executor.rewritten(nullRows(null, 2.0), nullPlan, AggSpec.Min).collect())
+    assert(nullK.getMessage.contains("null k"), nullK.getMessage)
   }
 }

@@ -3,11 +3,14 @@ package repro.exec
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
 import repro.eval.EvalHarness
+import repro.gen.WindowGen
 
 /** The cost model against work actually done: on a dense stream, the items
   * `ForestEval` merges into each node's complete instances are that node's
-  * cost `c_i` of §3.2.1 / Observation 1. (Its results are checked against
-  * the baseline plan and DuckDB in `ExecutorSpec`.)
+  * cost `c_i` of §3.2.1 / Observation 1. The pane path of
+  * `Executor.rewritten` (panes per input partition, merged per key) gives
+  * the same rows and counts as one pass over the events. (Its results are
+  * checked against the baseline plan and DuckDB in `ExecutorSpec`.)
   */
 class ForestEvalSpec extends AnyFunSuite {
 
@@ -75,6 +78,79 @@ class ForestEvalSpec extends AnyFunSuite {
         assertCountsMatchModel(CostModel.minCostPlan(ws, sem, 1), s"$kind/$label WCG")
         assertCountsMatchModel(FactorWindows.minCostPlanWithFactors(ws, sem, 1),
           s"$kind/$label WCG-FW")
+      }
+    }
+  }
+
+  // ---- the pane path -------------------------------------------------------
+
+  test("paneLength divides every root's range and slide on sampled plans") {
+    (1L to 40L).foreach { seed =>
+      val g = new WindowGen(seed, sMax = 8, kMax = 5)
+      Seq(g.randomSet(4) -> Semantics.CoveredBy, g.chainSet(4) -> Semantics.CoveredBy,
+          g.randomTumblingSet(4) -> Semantics.PartitionedBy).foreach { case (ws, sem) =>
+        Seq(CostModel.minCostPlan(ws, sem, 100),
+            FactorWindows.minCostPlanWithFactors(ws, sem, 100)).foreach { plan =>
+          val len = ForestEval.paneLength(plan)
+          assert(len > 0 && plan.roots.forall(w => w.r % len == 0 && w.s % len == 0),
+            s"seed $seed: pane length $len, roots ${plan.roots}")
+        }
+      }
+    }
+  }
+
+  /** Random events on two hyper-periods of `plan`, split at random into
+    * 1–8 input partitions, each merged into panes, must give through
+    * `fromPanes` the rows and per-node counts of one pass over the events:
+    * MIN exactly, SUM and AVG within 1e-9 relative (panes add in another
+    * order).
+    */
+  private def assertPanesMatchOnePass(plan: WcgPlan, hint: String, seed: Long): Unit = {
+    val rnd = new scala.util.Random(seed)
+    val horizon = (plan.bigR * 2).min(BigInt(1000000)).toLong
+    val events = Vector.fill(2000)((rnd.nextInt(3).toLong, (rnd.nextDouble() * horizon).toLong,
+      math.round(rnd.nextDouble() * 100000) / 1000.0))
+    val aggs = if (plan.semantics == Semantics.CoveredBy) Seq(AggSpec.Min) else Seq(AggSpec.Sum, AggSpec.Avg)
+    aggs.foreach { agg =>
+      val onePass = ForestEval(plan, agg, events.iterator)
+      val parts = 1 + rnd.nextInt(8)
+      val split = events.groupBy(_ => rnd.nextInt(parts)).values
+      val g = ForestEval.paneLength(plan)
+      val viaPanes = ForestEval.fromPanes(plan, agg,
+        split.iterator.flatMap(part => ForestEval.panes(g, agg, part.iterator)))
+      val h = s"$hint (${agg.name}, $parts partitions, pane length $g)"
+      val (want, got) = (keyed(onePass.rows), keyed(viaPanes.rows))
+      assert(got.keySet == want.keySet, h)
+      want.foreach { case (k, v) =>
+        val tolerance = if (agg == AggSpec.Min) 0.0 else 1e-9 * math.max(1.0, math.abs(v))
+        assert(math.abs(got(k) - v) <= tolerance, s"$h: $k: ${got(k)} vs $v")
+      }
+      plan.allWindows.foreach(w => assert(viaPanes.merged(w) == onePass.merged(w), s"$h: $w"))
+    }
+  }
+
+  private def keyed(rows: Iterator[ForestEval.Row]): Map[(Long, Long, Long, Long), Double] =
+    rows.map { case (r, s, k, a, v) => (r, s, k, a) -> v }.toMap
+
+  test("panes from random partitions == one pass: Examples 6-8 and the batch-hopping windows") {
+    Seq(Semantics.CoveredBy, Semantics.PartitionedBy).foreach { sem =>
+      assertPanesMatchOnePass(CostModel.minCostPlan(ex1, sem, 1), s"Example 6 ($sem)", 1)
+    }
+    assertPanesMatchOnePass(CostModel.minCostPlan(ex7, Semantics.PartitionedBy, 1), "Example 7", 2)
+    assertPanesMatchOnePass(
+      FactorWindows.minCostPlanWithFactors(ex7, Semantics.PartitionedBy, 1), "Example 8", 3)
+    assertPanesMatchOnePass(CostModel.minCostPlan(hopping, Semantics.CoveredBy, 1), "hopping WCG", 4)
+    assertPanesMatchOnePass(
+      FactorWindows.minCostPlanWithFactors(hopping, Semantics.CoveredBy, 1), "hopping WCG-FW", 5)
+  }
+
+  Seq(("Figure 11", "random", Semantics.CoveredBy),
+      ("Figure 12", "random-tumbling", Semantics.PartitionedBy)).foreach { case (figure, kind, sem) =>
+    test(s"panes from random partitions == one pass: $figure sets, WCG and WCG-FW plans") {
+      EvalHarness.sets(kind).zipWithIndex.foreach { case ((label, ws), i) =>
+        assertPanesMatchOnePass(CostModel.minCostPlan(ws, sem, 1), s"$kind/$label WCG", i)
+        assertPanesMatchOnePass(FactorWindows.minCostPlanWithFactors(ws, sem, 1),
+          s"$kind/$label WCG-FW", 100 + i)
       }
     }
   }
