@@ -1,7 +1,5 @@
 package repro.bench
 
-import repro.core.Semantics
-
 /** Figure 11: RandomGen, general windows, η ∈ {1, 10, 100}.
   *
   * Paper observations reproduced: BL worst overall; UP significantly beats
@@ -9,8 +7,7 @@ import repro.core.Semantics
   * very effective" on general sets; WCG-FW improves WCG significantly and
   * is comparable to SP.
   */
-class Fig11Bench extends FigureBench("Figure 11", "random",
-    Semantics.CoveredBy, Seq(1L, 10L, 100L)) {
+class Fig11Bench extends FigureBench("Figure 11") {
 
   assertHighRateShape(spFactor = 5.0)
 

@@ -1,7 +1,5 @@
 package repro.bench
 
-import repro.core.Semantics
-
 /** Figure 12: RandomGen, tumbling-only windows ("partitioned by"),
   * η ∈ {1, 10, 100}.
   *
@@ -10,8 +8,7 @@ import repro.core.Semantics
   * outperforms BL; WCG-FW improves over WCG where common range factors
   * exist.
   */
-class Fig12Bench extends FigureBench("Figure 12", "random-tumbling",
-    Semantics.PartitionedBy, Seq(1L, 10L, 100L)) {
+class Fig12Bench extends FigureBench("Figure 12") {
 
   test("Figure 12 shape: UP >= BL on every tumbling set") {
     costs(100).foreach { case (label, c) =>

@@ -1,7 +1,5 @@
 package repro.bench
 
-import repro.core.Semantics
-
 /** Figure 13: ChainGen at η=100 — (a) general windows, (b) tumbling.
   *
   * Paper observations reproduced: on general chains WCG sits between UP and
@@ -9,13 +7,11 @@ import repro.core.Semantics
   * matches WCG-FW and SP (factor windows unnecessary — the chain itself
   * provides the sharing).
   */
-class Fig13aBench extends FigureBench("Figure 13(a)", "chain",
-    Semantics.CoveredBy, Seq(100L)) {
+class Fig13aBench extends FigureBench("Figure 13(a)") {
   assertHighRateShape(spFactor = 1.5)
 }
 
-class Fig13bBench extends FigureBench("Figure 13(b)", "chain-tumbling",
-    Semantics.PartitionedBy, Seq(100L)) {
+class Fig13bBench extends FigureBench("Figure 13(b)") {
   test("Figure 13(b) shape: WCG ~ WCG-FW on tumbling chains (factor windows unnecessary)") {
     val (gW, gF) = (geo(100)(_.wcg), geo(100)(_.wcgFw))
     assert(gF <= gW && gW <= 1.05 * gF, f"WCG=$gW%.4f vs WCG-FW=$gF%.4f diverge")

@@ -1,17 +1,13 @@
 package repro.bench
 
-import repro.core.Semantics
-
 /** Figure 14: StarGen at η=100 — (a) general windows, (b) tumbling.
   * Same observations as ChainGen (Figure 13), per the paper.
   */
-class Fig14aBench extends FigureBench("Figure 14(a)", "star",
-    Semantics.CoveredBy, Seq(100L)) {
+class Fig14aBench extends FigureBench("Figure 14(a)") {
   assertHighRateShape(spFactor = 1.5)
 }
 
-class Fig14bBench extends FigureBench("Figure 14(b)", "star-tumbling",
-    Semantics.PartitionedBy, Seq(100L)) {
+class Fig14bBench extends FigureBench("Figure 14(b)") {
   test("Figure 14(b) shape: WCG ~ WCG-FW on tumbling stars") {
     val (gW, gF) = (geo(100)(_.wcg), geo(100)(_.wcgFw))
     assert(gF <= gW && gW <= 1.05 * gF, f"WCG=$gW%.4f vs WCG-FW=$gF%.4f diverge")

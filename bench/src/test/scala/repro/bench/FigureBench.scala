@@ -1,33 +1,34 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.Semantics
-import repro.eval.{EvalHarness, Techniques, TechniqueCosts}
+import repro.eval.{EvalHarness, TechniqueCosts}
 import scala.collection.mutable
 
-/** Base for the per-figure benchmark suites: prints the figure's data table
-  * (captured into bench_output.txt) and asserts the *shape* relations the
-  * paper reports — which technique wins and by roughly what factor — rather
-  * than absolute numbers.
+/** Base for the per-figure benchmark suites: prints the table of the panel
+  * `name` of `EvalHarness.panels` at each of its rates and asserts the
+  * *shape* relations the paper reports — which technique wins and by
+  * roughly what factor — rather than absolute numbers.
   */
-abstract class FigureBench(figure: String, kind: String, sem: Semantics,
-                           etas: Seq[Long]) extends AnyFunSuite {
+abstract class FigureBench(name: String) extends AnyFunSuite {
 
-  private val costsByEta = mutable.Map.empty[Long, Seq[(String, TechniqueCosts)]]
+  private val panel = EvalHarness.panel(name)
+  private val rowsByEta = mutable.Map.empty[Long, Seq[EvalHarness.Row]]
 
-  /** Per-set costs at a given rate, evaluated once per rate. */
+  /** The panel's rows at a given rate, evaluated once per rate. */
+  private def rows(eta: Long): Seq[EvalHarness.Row] =
+    rowsByEta.getOrElseUpdate(eta, EvalHarness.evaluate(panel.kind, panel.semantics, eta))
+
+  /** Per-set costs at a given rate. */
   protected def costs(eta: Long): Seq[(String, TechniqueCosts)] =
-    costsByEta.getOrElseUpdate(eta, EvalHarness.sets(kind).map { case (label, ws) =>
-      label -> Techniques.evaluate(ws, sem, eta)
-    })
+    rows(eta).map { case (label, _, c) => label -> c }
 
   /** Geometric mean of `f(c)/BL` over the ten sets. */
   protected def geo(eta: Long)(f: TechniqueCosts => BigInt): Double =
     EvalHarness.geoMeanVsBl(costs(eta).map(_._2))(f)
 
-  etas.foreach { eta =>
-    test(s"$figure table at eta=$eta") {
-      println(EvalHarness.runExperiment(s"$figure (eta=$eta)", kind, sem, eta))
+  panel.etas.foreach { eta =>
+    test(s"$name table at eta=$eta") {
+      println(EvalHarness.render(panel.title(eta), panel.kind, panel.semantics, eta, rows(eta)))
       costs(eta).foreach { case (label, c) =>
         assert(c.toSeq.forall(_._2 > 0), s"$label: non-positive cost")
         assert(c.wcg <= c.bl, s"$label: WCG above BL")
@@ -38,7 +39,7 @@ abstract class FigureBench(figure: String, kind: String, sem: Semantics,
 
   /** Shape assertions shared by the η=100 panels (the paper's focus). */
   protected def assertHighRateShape(spFactor: Double): Unit =
-    test(s"$figure shape at eta=100: sharing wins, WCG-FW comparable to SP") {
+    test(s"$name shape at eta=100: sharing wins, WCG-FW comparable to SP") {
       costs(100).foreach { case (label, c) =>
         assert(c.sp <= c.up, s"$label: SP above UP at eta=100")
       }

@@ -1,45 +1,34 @@
 package repro.jobs
 
-import repro.core.Semantics
 import repro.eval.EvalHarness
 
 /** spark-submit entrypoints, one per evaluation figure. The figure
   * experiments are analytic-cost comparisons (as in the paper), so these
   * mains need no SparkSession; they are jobs so every reproduced artifact
-  * has a uniform `spark-submit --class repro.jobs.<Name>` entrypoint.
+  * has a uniform `spark-submit --class repro.jobs.<Name>` entrypoint. Each
+  * prints its panels of `EvalHarness.panels`, one table per rate.
   */
-object Fig11Job {
-  /** Figure 11: RandomGen, general windows, η ∈ {1, 10, 100}. */
-  def main(args: Array[String]): Unit =
-    Seq(1L, 10L, 100L).foreach(eta => println(EvalHarness.runExperiment(
-      s"Figure 11 (eta=$eta)", "random", Semantics.CoveredBy, eta)))
+private object FigureJob {
+  def print(panels: String*): Unit =
+    panels.map(EvalHarness.panel).foreach(p => p.etas.foreach(eta =>
+      println(EvalHarness.runExperiment(p.title(eta), p.kind, p.semantics, eta))))
 }
 
-object Fig12Job {
-  /** Figure 12: RandomGen, tumbling windows, η ∈ {1, 10, 100}. */
-  def main(args: Array[String]): Unit =
-    Seq(1L, 10L, 100L).foreach(eta => println(EvalHarness.runExperiment(
-      s"Figure 12 (eta=$eta)", "random-tumbling", Semantics.PartitionedBy, eta)))
-}
+/** Figure 11: RandomGen, general windows. */
+object Fig11Job { def main(args: Array[String]): Unit = FigureJob.print("Figure 11") }
 
+/** Figure 12: RandomGen, tumbling windows. */
+object Fig12Job { def main(args: Array[String]): Unit = FigureJob.print("Figure 12") }
+
+/** Figure 13: ChainGen, general (a) and tumbling (b). */
 object Fig13Job {
-  /** Figure 13: ChainGen, general (a) and tumbling (b), η = 100. */
-  def main(args: Array[String]): Unit = {
-    println(EvalHarness.runExperiment("Figure 13(a)", "chain", Semantics.CoveredBy, 100))
-    println(EvalHarness.runExperiment("Figure 13(b)", "chain-tumbling", Semantics.PartitionedBy, 100))
-  }
+  def main(args: Array[String]): Unit = FigureJob.print("Figure 13(a)", "Figure 13(b)")
 }
 
+/** Figure 14: StarGen, general (a) and tumbling (b). */
 object Fig14Job {
-  /** Figure 14: StarGen, general (a) and tumbling (b), η = 100. */
-  def main(args: Array[String]): Unit = {
-    println(EvalHarness.runExperiment("Figure 14(a)", "star", Semantics.CoveredBy, 100))
-    println(EvalHarness.runExperiment("Figure 14(b)", "star-tumbling", Semantics.PartitionedBy, 100))
-  }
+  def main(args: Array[String]): Unit = FigureJob.print("Figure 14(a)", "Figure 14(b)")
 }
 
-object Fig15Job {
-  /** Figure 15: RandomGraphGen (3 levels, 2/4/6 windows), η = 100. */
-  def main(args: Array[String]): Unit =
-    println(EvalHarness.runExperiment("Figure 15", "dag", Semantics.CoveredBy, 100))
-}
+/** Figure 15: RandomGraphGen (3 levels, 2/4/6 windows). */
+object Fig15Job { def main(args: Array[String]): Unit = FigureJob.print("Figure 15") }

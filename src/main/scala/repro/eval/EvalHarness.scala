@@ -6,8 +6,9 @@ import repro.gen.WindowGen
 /** Shared harness that regenerates the evaluation figures' data as text
   * tables. Each figure of §5.3 becomes one table: rows are the ten
   * randomly-generated window sets, columns the five techniques' costs over
-  * the common period. Used by both the bench suites and the spark-submit
-  * jobs so the printed numbers are identical.
+  * the common period. `panels` declares every panel once; the bench suites
+  * and the spark-submit jobs both read it and render through `render`, so
+  * they print the same tables.
   */
 object EvalHarness {
 
@@ -43,12 +44,38 @@ object EvalHarness {
     math.exp(logs.sum / logs.size)
   }
 
-  /** Run one experiment (one figure panel): all sets × all techniques. */
-  def runExperiment(title: String, kind: String, semantics: Semantics,
-                    eta: Long): String = {
-    val rows = sets(kind).map { case (label, ws) =>
-      (label, ws, Techniques.evaluate(ws, semantics, eta))
-    }
+  /** One figure panel of §5.3: a generator kind, evaluated under one
+    * aggregate semantics at each event rate η of `etas`.
+    */
+  final case class Panel(name: String, kind: String, semantics: Semantics, etas: Seq[Long]) {
+    def title(eta: Long): String = s"$name (eta=$eta)"
+  }
+
+  /** Every panel of Figures 11–15, as the jobs and the bench suites run them. */
+  val panels: Seq[Panel] = Seq(
+    Panel("Figure 11", "random", Semantics.CoveredBy, Seq(1L, 10L, 100L)),
+    Panel("Figure 12", "random-tumbling", Semantics.PartitionedBy, Seq(1L, 10L, 100L)),
+    Panel("Figure 13(a)", "chain", Semantics.CoveredBy, Seq(100L)),
+    Panel("Figure 13(b)", "chain-tumbling", Semantics.PartitionedBy, Seq(100L)),
+    Panel("Figure 14(a)", "star", Semantics.CoveredBy, Seq(100L)),
+    Panel("Figure 14(b)", "star-tumbling", Semantics.PartitionedBy, Seq(100L)),
+    Panel("Figure 15", "dag", Semantics.CoveredBy, Seq(100L)))
+
+  /** The panel of `panels` named `name`. */
+  def panel(name: String): Panel =
+    panels.find(_.name == name)
+      .getOrElse(throw new IllegalArgumentException(s"unknown panel '$name'"))
+
+  /** One table row: a window set's label, its windows and its costs. */
+  type Row = (String, Vector[Window], TechniqueCosts)
+
+  /** All sets of a generator kind × all techniques. */
+  def evaluate(kind: String, semantics: Semantics, eta: Long): Seq[Row] =
+    sets(kind).map { case (label, ws) => (label, ws, Techniques.evaluate(ws, semantics, eta)) }
+
+  /** The text table of one experiment's rows, with the geo-mean summary. */
+  def render(title: String, kind: String, semantics: Semantics, eta: Long,
+             rows: Seq[Row]): String = {
     val sb = new StringBuilder
     sb ++= s"== $title  (generator=$kind, semantics=$semantics, eta=$eta) ==\n"
     sb ++= f"${"set"}%-6s ${"BL"}%14s ${"UP"}%14s ${"SP"}%14s ${"WCG"}%14s ${"WCG-FW"}%14s   windows\n"
@@ -61,4 +88,11 @@ object EvalHarness {
       f"WCG-FW=${geoMeanRatio(_.wcgFw)}%.4f\n"
     sb.result()
   }
+
+  /** Run one experiment (one figure panel at one rate): all sets × all
+    * techniques, rendered.
+    */
+  def runExperiment(title: String, kind: String, semantics: Semantics,
+                    eta: Long): String =
+    render(title, kind, semantics, eta, evaluate(kind, semantics, eta))
 }

@@ -78,9 +78,12 @@ object AggSpec {
     override def lift(v: Double): State = (1.0, 1L)
   }
 
-  /** AVG — algebraic: state is (sum, count), finished by division. */
+  /** AVG — algebraic: state is (sum, count), finished by division. A null
+    * value adds nothing to either, as in SQL's AVG.
+    */
   case object Avg extends AggSpec("avg", Semantics.PartitionedBy) {
-    def lift(v: Column): Column = struct(v.cast("double").as("s"), lit(1L).as("c"))
+    def lift(v: Column): Column =
+      struct(v.cast("double").as("s"), v.isNotNull.cast("long").as("c"))
     def merge(st: Column): Column =
       struct(sum(st.getField("s")).as("s"), sum(st.getField("c")).as("c"))
     def finish(st: Column): Column = st.getField("s") / st.getField("c")

@@ -1,7 +1,7 @@
 package repro.exec
 
 import org.apache.spark.HashPartitioner
-import org.apache.spark.sql.{Column, DataFrame, Row}
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{DoubleType, LongType, StructField, StructType}
@@ -25,7 +25,9 @@ import repro.core.{Window, WcgPlan}
   * Input: events with integer event time `t` (in abstract time units ≥ 0),
   * grouping key `k` (the `DeviceID` of Figure 1) and value `v`. Both plans
   * drop an event whose `t` is null; the rewritten plan needs `k` and `v`
-  * non-null.
+  * non-null. In the baseline, MIN, MAX, SUM and AVG ignore an event whose
+  * `v` is null (an instance whose every `v` is null gets a null value), and
+  * COUNT counts every event, like SQL's `COUNT(*)`.
   *
   * Output schema: `(w_r, w_s, k, wstart, value)` — one row per window per
   * key per instance that saw at least one event.
@@ -60,22 +62,18 @@ object Executor {
       .groupBy(col("k"), col("wstart2").as("wstart"))
       .agg(agg.merge(col("st")).as("st"))
 
-  /** The output schema `(w_r, w_s, k, wstart, value)` of a frame of
-    * sub-aggregate states `st` per key `k` and instance start `wstart`:
-    * the window's range and slide, the key, the instance start and the
-    * finished value.
+  /** Finalize a sub-aggregate DataFrame of `w` — states `st` per key `k`
+    * and instance start `wstart` — into the output schema
+    * `(w_r, w_s, k, wstart, value)`: the window's range and slide, the key,
+    * the instance start and the finished value.
     */
-  def output(df: DataFrame, agg: AggSpec, wr: Column, ws: Column): DataFrame =
+  def finish(df: DataFrame, w: Window, agg: AggSpec): DataFrame =
     df.select(
-      wr.as("w_r"),
-      ws.as("w_s"),
+      lit(w.r).as("w_r"),
+      lit(w.s).as("w_s"),
       col("k"),
       col("wstart"),
       agg.finish(col("st")).cast("double").as("value"))
-
-  /** Finalize a sub-aggregate DataFrame of `w` into the output schema. */
-  def finish(df: DataFrame, w: Window, agg: AggSpec): DataFrame =
-    output(df, agg, lit(w.r), lit(w.s))
 
   /** Baseline plan: every distinct window aggregated independently from the
     * raw events, results unioned (left side of Figure 2(a)). A repeated
@@ -88,7 +86,7 @@ object Executor {
       .reduce(_.unionAll(_))
   }
 
-  /** The schema of `output`, for rows made outside Catalyst. */
+  /** The schema of `finish`, for rows made outside Catalyst. */
   private val outputSchema = StructType(
     Seq("w_r", "w_s", "k", "wstart").map(StructField(_, LongType, nullable = false)) :+
       StructField("value", DoubleType, nullable = false))
@@ -106,7 +104,7 @@ object Executor {
     *  - Reduce side: `ForestEval.fromPanes` merges each pane into the
     *    instances of the roots containing it, then each node's instance
     *    states fan out to its children level by level, the `Multicast` of
-    *    §3.3. The user windows' rows come out in the `output` schema.
+    *    §3.3. The user windows' rows come out in the `finish` schema.
     *
     * A collect is one job of two stages whatever the forest's depth, and
     * the shuffle carries at most one record per (input partition, key).

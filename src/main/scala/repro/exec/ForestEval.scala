@@ -27,7 +27,7 @@ import scala.collection.mutable
 object ForestEval {
 
   /** One output row `(w_r, w_s, k, wstart, value)`, the layout of
-    * `Executor.output`.
+    * `Executor.finish`.
     */
   type Row = (Long, Long, Long, Long, Double)
 

@@ -23,7 +23,9 @@ final case class Progression(a: Long, m: Long) {
   * anchors a window's instances at `m·s` (not at the firing time), so the
   * paired edges sit at residues `{0, r mod s}` — a pure time-shift of the
   * textbook `Y(z1, z2)` with `z1 = s − (r mod s)`, `z2 = r mod s`, with
-  * identical slice counts and costs (DESIGN.md).
+  * identical slice counts and costs (DESIGN.md). The shared techniques'
+  * final cost rests on one number, the count `E` of composed edges per
+  * slicing period, which `countUnion` computes exactly over the classes.
   */
 object Slicing {
   import NumberTheory._
@@ -67,49 +69,21 @@ object Slicing {
   }
 
   /** `|union of progressions ∩ [0, period)|` — the composed-slice edge count
-    * `E` of Table 1. Uses a sieve for small periods and CRT
-    * inclusion–exclusion (with absorption pruning) for large ones; `period`
-    * must be a multiple of every modulus.
+    * `E` of Table 1, by the recursion `|P ∪ R| = |P| + |⋃R| − |⋃_{q∈R} (P ∩ q)|`
+    * where each `P ∩ q` is one CRT class or none. Every level first drops
+    * the classes another class contains; `period` must be a multiple of
+    * every modulus that remains.
     */
   def countUnion(progs0: Seq[Progression], period: BigInt): BigInt = {
     val distinct = progs0.distinct
     // Absorption: drop any class wholly contained in another (mutual
     // containment implies equality, already removed by distinct).
     val progs = distinct.filterNot(p => distinct.exists(q => q != p && p.subsetOf(q)))
-    if (progs.isEmpty) return BigInt(0)
     progs.foreach(p => require(period % p.m == 0, s"period $period not multiple of ${p.m}"))
-
-    if (period <= (1 << 22)) {
-      val n = period.toInt
-      val seen = new java.util.BitSet(n)
-      progs.foreach { p =>
-        var t = p.a
-        while (t < n) { seen.set(t.toInt); t += p.m }
-      }
-      BigInt(seen.cardinality())
-    } else {
-      // Inclusion–exclusion over subsets; empty CRT intersections prune.
-      def go(i: Int, acc: Option[Progression], size: Int): BigInt =
-        if (i == progs.length) {
-          acc match {
-            case None    => BigInt(0)
-            case Some(p) =>
-              val sign = if (size % 2 == 1) 1 else -1
-              sign * (period / p.m)
-          }
-        } else {
-          val skip = go(i + 1, acc, size)
-          val take = acc match {
-            case None    => go(i + 1, Some(progs(i)), 1)
-            case Some(p) =>
-              intersect(p, progs(i)) match {
-                case None     => BigInt(0)
-                case combined => go(i + 1, combined, size + 1)
-              }
-          }
-          skip + take
-        }
-      go(0, None, 0)
+    progs match {
+      case p +: rest =>
+        period / p.m + countUnion(rest, period) - countUnion(rest.flatMap(intersect(p, _)), period)
+      case _ => BigInt(0)
     }
   }
 
@@ -131,41 +105,38 @@ object Slicing {
   def slicingPeriod(windows: Seq[Window]): BigInt =
     NumberTheory.lcmAll(windows.map(w => BigInt(w.s)))
 
-  /** Unshared paned: partial `n·T`, final `Σ (S/s_i)·(r_i/g_i)`. */
-  def unsharedPaned(windows: Seq[Window], eta: BigInt): SlicingCosts = {
-    val s = slicingPeriod(windows)
-    val t = eta * s
-    val fin = windows.map { w =>
-      val g = NumberTheory.gcd(w.r, w.s)
-      (s / w.s) * (w.r / g)
-    }.sum
-    SlicingCosts(t * windows.size, fin)
-  }
-
-  /** Unshared paired: partial `n·T`, final `Σ (S/s_i)·⌈2·r_i/s_i⌉`. */
-  def unsharedPaired(windows: Seq[Window], eta: BigInt): SlicingCosts = {
-    val s = slicingPeriod(windows)
-    val t = eta * s
-    val fin = windows.map { w =>
-      val perFiring = (2 * w.r + w.s - 1) / w.s // ⌈2 r/s⌉
-      (s / w.s) * BigInt(perFiring)
-    }.sum
-    SlicingCosts(t * windows.size, fin)
-  }
-
-  /** Shared paned: partial `T`, final `Σ E_paned·(r_i/s_i)` where `E_paned`
-    * is the composed paned edge count over `S`.
+  /** Unshared slicing: partial `n·T`, final `Σ (S/s_i)·k_i` with `k_i` the
+    * slices per instance of window `i`.
     */
-  def sharedPaned(windows: Seq[Window], eta: BigInt): SlicingCosts = {
+  private def unshared(windows: Seq[Window], eta: BigInt)(
+      slicesPerInstance: Window => BigInt): SlicingCosts = {
     val s = slicingPeriod(windows)
-    val e = countUnion(windows.flatMap(panedEdges), s)
+    SlicingCosts(eta * s * windows.size, windows.map(w => (s / w.s) * slicesPerInstance(w)).sum)
+  }
+
+  /** Unshared paned: `k_i = r_i/g_i`. */
+  def unsharedPaned(windows: Seq[Window], eta: BigInt): SlicingCosts =
+    unshared(windows, eta)(w => w.r / NumberTheory.gcd(w.r, w.s))
+
+  /** Unshared paired: `k_i = ⌈2·r_i/s_i⌉`. */
+  def unsharedPaired(windows: Seq[Window], eta: BigInt): SlicingCosts =
+    unshared(windows, eta)(w => BigInt((2 * w.r + w.s - 1) / w.s))
+
+  /** Shared slicing: partial `T`, final `Σ E·(r_i/s_i)` where `E` is the
+    * count of the composed slice edges over `S`.
+    */
+  private def shared(windows: Seq[Window], eta: BigInt)(
+      edges: Window => Seq[Progression]): SlicingCosts = {
+    val s = slicingPeriod(windows)
+    val e = countUnion(windows.flatMap(edges), s)
     SlicingCosts(eta * s, windows.map(w => e * w.r / w.s).sum)
   }
 
-  /** Shared paired: partial `T`, final `Σ E_paired·(r_i/s_i)`. */
-  def sharedPaired(windows: Seq[Window], eta: BigInt): SlicingCosts = {
-    val s = slicingPeriod(windows)
-    val e = countUnion(windows.flatMap(pairedEdges), s)
-    SlicingCosts(eta * s, windows.map(w => e * w.r / w.s).sum)
-  }
+  /** Shared paned: `E` over the windows' paned edges. */
+  def sharedPaned(windows: Seq[Window], eta: BigInt): SlicingCosts =
+    shared(windows, eta)(panedEdges)
+
+  /** Shared paired: `E` over the windows' paired edges. */
+  def sharedPaired(windows: Seq[Window], eta: BigInt): SlicingCosts =
+    shared(windows, eta)(pairedEdges)
 }

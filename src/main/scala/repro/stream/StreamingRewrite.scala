@@ -61,8 +61,7 @@ object StreamingRewrite {
       sub(w) = df
     }
     plan.userWindows.map { w =>
-      w -> Executor.output(sub(w).withColumn("wstart", col("window.start").cast("long")),
-        agg, lit(w.r), lit(w.s))
+      w -> Executor.finish(sub(w).withColumn("wstart", col("window.start").cast("long")), w, agg)
     }.toMap
   }
 }

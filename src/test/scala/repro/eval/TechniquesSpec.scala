@@ -127,6 +127,59 @@ class TechniquesSpec extends AnyFunSuite with SeededProps {
     }
   }
 
+  // (UP, SP) of the ten sets of every figure panel, as printed by the bench
+  // suites' tables: SP is the figures' only use of the composed-slice edge
+  // count E, so a change to `Slicing.countUnion` or to a Table 1 formula
+  // fails here.
+  private val pinnedSlicing = Seq(
+    ("Figure 11", "random", Semantics.CoveredBy, 1, Seq[(BigInt, BigInt)](
+      (9234, 11808), (119664, 85680), (2736, 2144), (20524, 19740), (106890, 102060),
+      (20144, 18240), (31248, 20160), (50112, 35280), (62510, 54600), (3660, 3376))),
+    ("Figure 11", "random", Semantics.CoveredBy, 10, Seq[(BigInt, BigInt)](
+      (37584, 17478), (346464, 131040), (13536, 4304), (77224, 31080), (447090, 170100),
+      (95744, 33360), (144648, 42840), (147312, 54720), (251510, 92400), (14460, 5536))),
+    ("Figure 11", "random", Semantics.CoveredBy, 100, Seq[(BigInt, BigInt)](
+      (321084, 74178), (2614464, 584640), (121536, 25904), (644224, 144480), (3849090, 850500),
+      (851744, 184560), (1278648, 269640), (1119312, 249120), (2141510, 470400), (122460, 27136))),
+    ("Figure 12", "random-tumbling", Semantics.PartitionedBy, 1, Seq[(BigInt, BigInt)](
+      (3970, 2280), (27526, 9180), (1414, 640), (7596, 3390), (40868, 12690), (9834, 4080),
+      (14050, 4980), (12310, 4920), (167282, 70080), (1278, 360))),
+    ("Figure 12", "random-tumbling", Semantics.PartitionedBy, 10, Seq[(BigInt, BigInt)](
+      (32320, 7950), (254326, 54540), (12214, 2800), (64296, 14730), (381068, 80730),
+      (85434, 19200), (127450, 27660), (109510, 24360), (1490282, 334680), (12078, 2520))),
+    ("Figure 12", "random-tumbling", Semantics.PartitionedBy, 100, Seq[(BigInt, BigInt)](
+      (315820, 64650), (2522326, 508140), (120214, 24400), (631296, 128130), (3783068, 761130),
+      (841434, 170400), (1261450, 254460), (1081510, 218760), (14720282, 2980680),
+      (120078, 24120))),
+    ("Figure 13(a)", "chain", Semantics.CoveredBy, 100, Seq[(BigInt, BigInt)](
+      (2554776, 540288), (5542680, 1155960), (1104840, 231120), (2173920, 444960),
+      (2551080, 527520), (425400, 87360), (6166160, 1299298), (5739300, 1178100),
+      (37939440, 7881720), (93869160, 19385520))),
+    ("Figure 13(b)", "chain-tumbling", Semantics.PartitionedBy, 100, Seq[(BigInt, BigInt)](
+      (960174, 192320), (896214, 179520), (576078, 115320), (864176, 173040), (3024320, 605280),
+      (378128, 75780), (2268314, 454140), (648164, 129840), (1512170, 302670), (2880218, 576360))),
+    ("Figure 14(a)", "star", Semantics.CoveredBy, 100, Seq[(BigInt, BigInt)](
+      (14003080, 2959320), (1670604, 347256), (366760, 76920), (17173800, 3519180),
+      (6337716, 1309770), (255240, 52272), (28172760, 5932080), (822480, 168480),
+      (17725344, 3660384), (43408344, 8953560))),
+    ("Figure 14(b)", "star-tumbling", Semantics.PartitionedBy, 100, Seq[(BigInt, BigInt)](
+      (9362462, 1875120), (4705098, 942480), (2880458, 576600), (2160466, 432600),
+      (14743346, 2950740), (1260394, 252600), (6615958, 1324575), (7129834, 1428240),
+      (70567958, 14124600), (28802314, 5763600))),
+    ("Figure 15", "dag", Semantics.CoveredBy, 100, Seq[(BigInt, BigInt)](
+      (37733472, 4675104), (268117920, 33868800), (22783793760L, 2489760000L),
+      (1218349440, 143035200), (331012080, 35834400), (64145480, 6607440),
+      (720752760, 69189120), (23870280, 2775600), (1875038256, 197801856), (39159360, 3761640))))
+
+  pinnedSlicing.foreach { case (figure, kind, sem, eta, want) =>
+    test(s"$figure slicing at eta=$eta: (UP, SP) of every set unchanged") {
+      EvalHarness.sets(kind).zip(want).foreach { case ((label, ws), (up, sp)) =>
+        val c = Techniques.evaluate(ws, sem, eta)
+        assert((c.up, c.sp) == ((up, sp)), s"$kind/$label")
+      }
+    }
+  }
+
   // Ranges of the tumbling factor windows in each set's WCG-FW plan, on the
   // partitioned-by panels: set2, set4, set7 and set10 of Figure 12 use
   // W(2,2) at every rate, set6 of Figure 14(b) uses W(42,42).

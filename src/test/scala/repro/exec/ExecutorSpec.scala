@@ -69,8 +69,10 @@ class ExecutorSpec extends SparkSpec {
 
   // ---- oracle: the baseline itself is right ------------------------------
 
-  private def oracleCheck(w: Window, agg: AggSpec, duckAgg: String): Unit = {
-    val ev = events(1500, 120)
+  private def oracleCheck(w: Window, agg: AggSpec, duckAgg: String): Unit =
+    oracleCheckOn(events(1500, 120), w, agg, duckAgg)
+
+  private def oracleCheckOn(ev: DataFrame, w: Window, agg: AggSpec, duckAgg: String): Unit = {
     val sparkDf = Executor
       .finish(Executor.subAggFromEvents(ev, w, agg), w, agg)
       .select(col("k"), col("wstart"), col("value"))
@@ -89,6 +91,17 @@ class ExecutorSpec extends SparkSpec {
   test("oracle: hopping SUM matches DuckDB")   { oracleCheck(Window(12, 4),  AggSpec.Sum,   "SUM(CAST(e.v AS DOUBLE))") }
   test("oracle: tumbling COUNT matches DuckDB"){ oracleCheck(Window(15, 15), AggSpec.Count, "COUNT(*)") }
   test("oracle: hopping AVG matches DuckDB")   { oracleCheck(Window(24, 8),  AggSpec.Avg,   "AVG(CAST(e.v AS DOUBLE))") }
+
+  test("oracle: baseline ignores a null v in MIN/MAX/SUM/AVG and counts it in COUNT, as DuckDB") {
+    import spark.implicits._
+    // Instance 0 holds v = 5.0, null, 7.0 (AVG 6.0, not 4.0); instance 10
+    // holds only a null v (every aggregate but COUNT is null there).
+    val ev = Seq[(Long, Long, java.lang.Double)](
+      (1L, 1L, 5.0), (2L, 1L, null), (3L, 1L, 7.0), (12L, 1L, null)).toDF("t", "k", "v")
+    Seq(AggSpec.Min -> "MIN", AggSpec.Max -> "MAX", AggSpec.Sum -> "SUM", AggSpec.Avg -> "AVG")
+      .foreach { case (agg, f) => oracleCheckOn(ev, Window(10, 10), agg, s"$f(CAST(e.v AS DOUBLE))") }
+    oracleCheckOn(ev, Window(10, 10), AggSpec.Count, "COUNT(*)")
+  }
 
   test("oracle: the rewritten Example-1 MIN plan matches DuckDB window-by-window") {
     val ev = events(1500, 120)

@@ -69,15 +69,22 @@ class SlicingSpec extends AnyFunSuite with SeededProps {
       }
     } { progs =>
       val period = NumberTheory.lcmAll(progs.map(p => BigInt(p.m)))
-      val bySieve = Slicing.countUnion(progs, period) // small -> sieve path
+      val bySieve = Slicing.countUnion(progs, period) // one period
       // Brute force on the same period.
       val brute = (0L until period.toLong).count(t => progs.exists(_.contains(t)))
       assert(bySieve == brute, s"$progs over $period")
-      // Force the inclusion-exclusion path by scaling the period: counts
-      // scale linearly with the number of repetitions.
+      // A multiple of the period above 2^22: counts scale linearly with the
+      // number of repetitions.
       val big = period * ((1 << 22) / period + 1)
       assert(Slicing.countUnion(progs, big) == BigInt(brute) * (big / period))
     }
+  }
+
+  test("countUnion drops contained classes before it checks the period") {
+    // 0 mod 14 lies inside 0 mod 2, so the period 6 need not be a multiple
+    // of 14; the union in [0, 6) is {0, 1, 2, 4}.
+    assert(Slicing.countUnion(Seq(Progression(0, 2), Progression(0, 14), Progression(1, 6)), 6) == 4)
+    assertThrows[IllegalArgumentException](Slicing.countUnion(Seq(Progression(0, 4)), 6))
   }
 
   // ---- Table 1 cost formulas ---------------------------------------------
