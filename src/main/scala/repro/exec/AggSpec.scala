@@ -14,11 +14,13 @@ import repro.core.Semantics
   *  - `finish` maps a state to the user-visible result (the function `h`;
   *    identity for distributive aggregates).
   *
-  * As scalars, over an [[AggSpec.State]] `(value, count)`: `lift` of one
-  * value, `merge` of two states (`g` on the values, counts added) and
-  * `finish` (`h`). `ForestEval`, the map- and reduce-side body of
-  * `Executor.rewritten`, and the in-memory slicer `repro.slicing.SliceExec`
-  * run this form.
+  * As scalars, a state is a `Double` value and a `Long` count of the events
+  * merged into it: `liftValue` is the value of one event's state, `g`
+  * combines two values (counts add) and `finish(value, count)` is `h`.
+  * `ForestEval`, the map- and reduce-side body of `Executor.rewritten`, runs
+  * this primitive form. The tuple form over an [[AggSpec.State]]
+  * `(value, count)` (`lift`, `merge`, `finish`) is defined on top of it, for
+  * the in-memory slicer `repro.slicing.SliceExec`.
   *
   * `semantics` is the WCG relation the aggregate admits (footnote 5):
   * MIN/MAX remain distributive over *overlapping* covers (Theorem 6) and
@@ -33,12 +35,20 @@ sealed abstract class AggSpec(val name: String, val semantics: Semantics) {
   def merge(st: Column): Column
   def finish(st: Column): Column
 
-  /** `g` on the value component of two scalar states. */
-  protected def g(a: Double, b: Double): Double
+  /** `g` on the values of two scalar states. */
+  def g(a: Double, b: Double): Double
 
-  def lift(v: Double): State = (v, 1L)
+  /** The value of the state that an event of value `v` lifts to (its count
+    * is 1).
+    */
+  def liftValue(v: Double): Double = v
+
+  /** `h` on a scalar state of `value` and `count` events. */
+  def finish(value: Double, count: Long): Double = value
+
+  def lift(v: Double): State = (liftValue(v), 1L)
   def merge(a: State, b: State): State = (g(a._1, b._1), a._2 + b._2)
-  def finish(st: State): Double = st._1
+  def finish(st: State): Double = finish(st._1, st._2)
 }
 
 object AggSpec {
@@ -50,7 +60,7 @@ object AggSpec {
     def lift(v: Column): Column = v
     def merge(st: Column): Column = min(st)
     def finish(st: Column): Column = st
-    protected def g(a: Double, b: Double): Double = math.min(a, b)
+    def g(a: Double, b: Double): Double = math.min(a, b)
   }
 
   /** MAX — distributive, tolerant of overlapping covers (Theorem 6). */
@@ -58,7 +68,7 @@ object AggSpec {
     def lift(v: Column): Column = v
     def merge(st: Column): Column = max(st)
     def finish(st: Column): Column = st
-    protected def g(a: Double, b: Double): Double = math.max(a, b)
+    def g(a: Double, b: Double): Double = math.max(a, b)
   }
 
   /** SUM — distributive, requires disjoint partitions. */
@@ -66,7 +76,7 @@ object AggSpec {
     def lift(v: Column): Column = v
     def merge(st: Column): Column = sum(st)
     def finish(st: Column): Column = st
-    protected def g(a: Double, b: Double): Double = a + b
+    def g(a: Double, b: Double): Double = a + b
   }
 
   /** COUNT — distributive with `g = SUM`, requires disjoint partitions. */
@@ -74,8 +84,8 @@ object AggSpec {
     def lift(v: Column): Column = lit(1L)
     def merge(st: Column): Column = sum(st)
     def finish(st: Column): Column = st
-    protected def g(a: Double, b: Double): Double = a + b
-    override def lift(v: Double): State = (1.0, 1L)
+    def g(a: Double, b: Double): Double = a + b
+    override def liftValue(v: Double): Double = 1.0
   }
 
   /** AVG — algebraic: state is (sum, count), finished by division. A null
@@ -87,8 +97,8 @@ object AggSpec {
     def merge(st: Column): Column =
       struct(sum(st.getField("s")).as("s"), sum(st.getField("c")).as("c"))
     def finish(st: Column): Column = st.getField("s") / st.getField("c")
-    protected def g(a: Double, b: Double): Double = a + b
-    override def finish(st: State): Double = st._1 / st._2
+    def g(a: Double, b: Double): Double = a + b
+    override def finish(value: Double, count: Long): Double = value / count
   }
 
   val all: Seq[AggSpec] = Seq(Min, Max, Sum, Count, Avg)

@@ -18,9 +18,9 @@ import repro.core.{Window, WcgPlan}
   * The baseline is explode-based instance assignment + groupBy/agg per
   * window. The rewritten plan runs the whole forest as one Spark job: each
   * input partition merges its events into per-key panes, one shuffle on `k`
-  * brings a key's panes together, and `ForestEval` runs the forest there,
-  * where each node's sub-aggregates fan out to all its children: the
-  * `Multicast` operator.
+  * brings a key's panes together, and `ForestEval` sweeps the forest there
+  * one key at a time, where each node's sub-aggregates fan out to all its
+  * children: the `Multicast` operator.
   *
   * Input: events with integer event time `t` (in abstract time units ≥ 0),
   * grouping key `k` (the `DeviceID` of Figure 1) and value `v`. Both plans
@@ -95,23 +95,28 @@ object Executor {
     * Spark job over one shuffle on `k` (right side of Figure 2(a)).
     *
     *  - Map side: the events are projected to `(k, t, v)` as long, long,
-    *    double, and each input partition merges them per key into panes of
-    *    length `ForestEval.paneLength(plan)`, the gcd of the roots' ranges
-    *    and slides. It ships one record per key: that key's panes as
-    *    primitive arrays.
+    *    double, read straight from each internal row into a
+    *    `ForestEval.PaneBuilder`. It merges each input partition's events
+    *    per key into panes of length `ForestEval.paneLength(plan)`, the gcd
+    *    of the roots' ranges and slides, in primitive arrays, allocating
+    *    nothing per event. It ships one record per key: that key's panes as
+    *    primitive arrays sorted by start.
     *  - Shuffle: one `HashPartitioner` on `k`, into the session's
-    *    `spark.sql.shuffle.partitions` partitions.
-    *  - Reduce side: `ForestEval.fromPanes` merges each pane into the
-    *    instances of the roots containing it, then each node's instance
-    *    states fan out to its children level by level, the `Multicast` of
-    *    §3.3. The user windows' rows come out in the `finish` schema.
+    *    `spark.sql.shuffle.partitions` partitions, but no more than the
+    *    default parallelism: an RDD shuffle gets no adaptive coalescing,
+    *    so more partitions would only add empty or tiny reduce tasks.
+    *  - Reduce side: `ForestEval.fromPanes`, one key at a time, merges the
+    *    key's panes into one sorted run and sweeps every node over its
+    *    sorted input spans in `plan.levels` order: the panes for a root,
+    *    its parent's instances for any other node, the `Multicast` of §3.3.
+    *    The key's user-window rows come out in the `finish` schema before
+    *    the next key is swept.
     *
     * A collect is one job of two stages whatever the forest's depth, and
     * the shuffle carries at most one record per (input partition, key).
     * Every WCG node is aggregated exactly once; factor windows participate
-    * but are not exposed. A partition's instance states stay in memory,
-    * without spilling, until its rows are emitted: one per (node, key,
-    * instance), as in the hash aggregation of a per-window plan.
+    * but are not exposed. A reduce task holds, without spilling, the panes
+    * of its partition plus the instances of one key's forest.
     *
     * Nulls: an event with a null `t` is dropped, as `baseline` drops it.
     * A null `k` or `v` fails the job: the action throws with, as its cause,
@@ -122,24 +127,28 @@ object Executor {
     require(plan.semantics == agg.semantics,
       s"plan built for ${plan.semantics} but ${agg.name} needs ${agg.semantics}")
     val spark = events.sparkSession
-    val partitions = spark.conf.get("spark.sql.shuffle.partitions").toInt
     val g = ForestEval.paneLength(plan)
     val rows = events
       .select(col("k").cast("long"), col("t").cast("long"), col("v").cast("double"))
       .queryExecution.toRdd
-      .mapPartitions(in => ForestEval.panes(g, agg, in.filterNot(_.isNullAt(1)).map(event)))
-      .partitionBy(new HashPartitioner(partitions))
-      .mapPartitions(ForestEval.fromPanes(plan, agg, _).rows.map(Row.fromTuple))
+      .mapPartitions { in =>
+        val panes = new ForestEval.PaneBuilder(g, agg)
+        in.foreach(row => if (!row.isNullAt(1)) addEvent(panes, row))
+        panes.result()
+      }
+      .partitionBy(new HashPartitioner(math.min(spark.conf.get("spark.sql.shuffle.partitions").toInt,
+        spark.sparkContext.defaultParallelism)))
+      .mapPartitions(ForestEval.fromPanes(plan, agg, _).emit((r, s, k, a, v) => Row(r, s, k, a, v)))
     spark.createDataFrame(rows, outputSchema)
   }
 
-  /** The `(k, t, v)` of a projected event with a non-null `t`, read before
-    * its (reused) row advances.
+  /** Adds a projected event with a non-null `t` to `panes`, read before its
+    * (reused) row advances.
     */
-  private def event(row: InternalRow): (Long, Long, Double) = {
+  private def addEvent(panes: ForestEval.PaneBuilder, row: InternalRow): Unit = {
     if (row.isNullAt(0)) throw nullIn("k", row)
     if (row.isNullAt(2)) throw nullIn("v", row)
-    (row.getLong(0), row.getLong(1), row.getDouble(2))
+    panes.add(row.getLong(0), row.getLong(1), row.getDouble(2))
   }
 
   private def nullIn(column: String, row: InternalRow): IllegalArgumentException =

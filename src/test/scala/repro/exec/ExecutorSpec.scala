@@ -346,6 +346,29 @@ class ExecutorSpec extends SparkSpec {
     }
   }
 
+  test("rewritten runs min(spark.sql.shuffle.partitions, default parallelism) reduce tasks") {
+    val parallelism = spark.sparkContext.defaultParallelism
+    val plan = FactorWindows.minCostPlanWithFactors(ex7, Semantics.CoveredBy, 100)
+    Seq(1, 200).foreach { partitions =>
+      val session = spark.newSession()
+      session.conf.set("spark.sql.shuffle.partitions", partitions.toString)
+      val df = Executor.rewritten(SynthData.events(session, 500, 120, 4, 3), plan, AggSpec.Min)
+      assert(df.queryExecution.toRdd.getNumPartitions == math.min(partitions, parallelism),
+        s"$partitions shuffle partitions, default parallelism $parallelism")
+    }
+  }
+
+  test("rewritten == baseline == DuckDB with fewer keys than reduce partitions") {
+    // One key: with a default parallelism of 2 or more, some reduce
+    // partitions get no panes at all.
+    val session = spark.newSession()
+    session.conf.set("spark.sql.shuffle.partitions", "16")
+    val ev = SynthData.events(session, 1500, 240, 1, 17)
+    checkAgainstOracle(Seq(Window(40, 10), Window(80, 20), Window(120, 40)), AggSpec.Min,
+      ev, 240, "one key")
+    checkAgainstOracle(ex7, AggSpec.Avg, ev, 240, "one key")
+  }
+
   test("pane states of one key from 7 input partitions merge: rewritten == baseline == DuckDB") {
     val ev = SynthData.events(spark, 1500, 240, 3, 13).repartition(7)
     assert(ev.rdd.getNumPartitions == 7)

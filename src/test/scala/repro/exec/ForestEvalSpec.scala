@@ -1,9 +1,12 @@
 package repro.exec
 
+import java.lang.management.ManagementFactory
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core._
 import repro.eval.EvalHarness
 import repro.gen.WindowGen
+import scala.collection.mutable
+import scala.util.Random
 
 /** The cost model against work actually done: on a dense stream, the items
   * `ForestEval` merges into each node's complete instances are that node's
@@ -153,5 +156,163 @@ class ForestEvalSpec extends AnyFunSuite {
           s"$kind/$label WCG-FW", 100 + i)
       }
     }
+  }
+
+  // ---- the sweep against a brute-force fold ---------------------------------
+
+  /** A random forest under `sem`: a chain of depth 3 from a random root, then
+    * up to 4 more windows, each a new root or a child of an earlier window.
+    * Slides are any `0 < s ≤ r`, so `r mod s ≠ 0` is common. Under
+    * partitioned-by, a window with children is tumbling (Theorem 4). Some
+    * inner windows are factor windows, left out of the rows.
+    */
+  private def randomForest(rnd: Random, sem: Semantics): WcgPlan = {
+    val partitioned = sem == Semantics.PartitionedBy
+    def root(): Window = {
+      val s = 1L + rnd.nextInt(6)
+      if (partitioned) Window.tumbling(s) else Window(s + rnd.nextInt(12), s)
+    }
+    def child(p: Window, tumbling: Boolean): Window = {
+      val i = 1L + rnd.nextInt(3)
+      if (partitioned) {
+        val j = math.max(i, 2L + rnd.nextInt(3))
+        if (tumbling) Window.tumbling(p.s * j) else Window(p.s * j, p.s * i)
+      } else Window(p.r + p.s * math.max(i, 1L + rnd.nextInt(4)), p.s * i)
+    }
+    val parent = mutable.LinkedHashMap.empty[Window, Option[Window]]
+    val chain = Iterator.iterate(root())(child(_, tumbling = true)).take(4).toVector
+    chain.zip(None +: chain.map(Option(_))).foreach { case (w, p) => parent.getOrElseUpdate(w, p) }
+    (1 to rnd.nextInt(5)).foreach { _ =>
+      val feeders = parent.keys.filter(w => !partitioned || w.isTumbling).toVector
+      if (rnd.nextInt(4) == 0) parent.getOrElseUpdate(root(), None)
+      else {
+        val p = feeders(rnd.nextInt(feeders.size))
+        parent.getOrElseUpdate(child(p, tumbling = rnd.nextBoolean()), Some(p))
+      }
+    }
+    val inner = parent.values.flatten.toSet
+    val factors = parent.keys.filter(w => inner.contains(w) && rnd.nextInt(3) == 0).toVector
+    val plan = WcgPlan(parent.keys.filterNot(factors.contains).toVector, factors, parent.toMap,
+      sem, 1, 1)
+    assert(plan.isForest && plan.levels.size >= 4 &&
+      plan.allWindows.forall(w => plan.parent(w).forall(p => sem.relates(w, p))), plan.parent)
+    plan
+  }
+
+  /** Events of four keys with integer values, so that every aggregate is
+    * exact in any order: key 0 dense on `[−L, 10L)`, key 1 in bursts with
+    * gaps longer than any range, key 2 near 2⁶⁰, key −7 mostly before 0;
+    * `L` is the largest range.
+    */
+  private def randomEvents(rnd: Random, plan: WcgPlan): Vector[(Long, Long, Double)] = {
+    val bigL = plan.allWindows.map(_.r).max
+    def value(): Double = rnd.nextInt(1000).toDouble
+    val dense = Vector.fill(300)((0L, -bigL + rnd.nextLong(11 * bigL), value()))
+    var at = 0L
+    val bursts = (0 until 8).flatMap { _ =>
+      at += 3 * bigL + rnd.nextLong(bigL)
+      Vector.fill(1 + rnd.nextInt(6))((1L, at + rnd.nextLong(bigL), value()))
+    }
+    val far = (1L << 60) + rnd.nextLong(1000)
+    val high = Vector.fill(60)((2L, far + rnd.nextLong(4 * bigL), value()))
+    val early = Vector.fill(30)((-7L, -5 * bigL + rnd.nextLong(5 * bigL + 2), value()))
+    rnd.shuffle(dense ++ bursts ++ high ++ early)
+  }
+
+  /** `agg` of `vs` in plain Scala. */
+  private def fold(agg: AggSpec, vs: Seq[Double]): Double = agg match {
+    case AggSpec.Min => vs.min
+    case AggSpec.Max => vs.max
+    case AggSpec.Sum => vs.sum
+    case AggSpec.Count => vs.size.toDouble
+    case AggSpec.Avg => vs.sum / vs.size
+  }
+
+  /** For every node of `plan`, key → instance start → the values of the
+    * events in it: each event's instances found by walking down from
+    * `⌊t/s⌋` while the instance still reaches past `t`.
+    */
+  private def bruteForce(plan: WcgPlan, events: Seq[(Long, Long, Double)]): Map[Window, Map[(Long, Long), Seq[Double]]] =
+    plan.allWindows.map { w =>
+      w -> events.flatMap { case (k, t, v) =>
+        Iterator.iterate(Math.floorDiv(t, w.s))(_ - 1).takeWhile(m => m >= 0 && m * w.s + w.r > t)
+          .map(m => (k, m * w.s) -> v)
+      }.groupMap(_._1)(_._2)
+    }.toMap
+
+  /** The items merged into each instance of each node, by instance start,
+    * summed over keys, from `bruteForce`: a root's items are its events,
+    * another node's the parent instances with events that lie inside it.
+    */
+  private def bruteItems(plan: WcgPlan, brute: Map[Window, Map[(Long, Long), Seq[Double]]]): Map[Window, Map[Long, Long]] =
+    plan.allWindows.map { w =>
+      val items = plan.parent(w) match {
+        case None => brute(w).toSeq.map { case ((_, a), vs) => a -> vs.size.toLong }
+        case Some(p) => brute(w).keys.toSeq.map { case (k, a) =>
+          val inside = Iterator.iterate(Math.floorDiv(a + p.s - 1, p.s) * p.s)(_ + p.s)
+            .takeWhile(_ + p.r <= a + w.r)
+          a -> inside.count(ap => brute(p).contains((k, ap))).toLong
+        }
+      }
+      w -> items.groupMapReduce(_._1)(_._2)(_ + _)
+    }.toMap
+
+  Seq(Semantics.CoveredBy, Semantics.PartitionedBy).foreach { sem =>
+    test(s"sweep == brute-force fold per instance on random forests ($sem), one pass and panes") {
+      val rnd = new Random(if (sem == Semantics.CoveredBy) 61 else 62)
+      (1 to 40).foreach { round =>
+        val plan = randomForest(rnd, sem)
+        val events = randomEvents(rnd, plan)
+        val brute = bruteForce(plan, events)
+        val items = bruteItems(plan, brute)
+        val g = ForestEval.paneLength(plan)
+        AggSpec.all.filter(_.semantics == sem).foreach { agg =>
+          val want = plan.userWindows.flatMap { w =>
+            brute(w).map { case ((k, a), vs) => (w.r, w.s, k, a) -> fold(agg, vs) }
+          }.toMap
+          val split = events.groupBy(_ => rnd.nextInt(4)).values
+          Seq("one pass" -> ForestEval(plan, agg, events.iterator),
+              s"panes of length $g" -> ForestEval.fromPanes(plan, agg,
+                split.iterator.flatMap(part => ForestEval.panes(g, agg, part.iterator)))
+          ).foreach { case (path, result) =>
+            val hint = s"round $round, ${agg.name}, $path, ${plan.parent}"
+            assert(keyed(result.rows) == want, s"$hint: rows")
+            plan.allWindows.foreach(w => assert(result.merged(w) == items(w), s"$hint: merged items of $w"))
+          }
+        }
+      }
+    }
+  }
+
+  test("no panes, no rows: an empty reduce partition") {
+    val plan = CostModel.minCostPlan(hopping, Semantics.CoveredBy, 1)
+    val result = ForestEval.fromPanes(plan, AggSpec.Min, Iterator.empty)
+    assert(result.rows.isEmpty && plan.allWindows.forall(result.merged(_).isEmpty))
+  }
+
+  // ---- allocation ----------------------------------------------------------
+
+  test("building panes allocates less than 1 byte per event: 10^6 events, 200 keys x 80 panes") {
+    val threads = ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
+    val (n, keys, panesPerKey, g) = (1000000, 200, 80, 1000L)
+    // Three events per (key, pane), handed out again and again by an
+    // iterator that allocates nothing: what is measured is `panes` alone.
+    val pool = Array.tabulate(3 * keys * panesPerKey) { i =>
+      ((i % keys).toLong, (i / keys % panesPerKey) * g + i % 997, (i % 101).toDouble)
+    }
+    def events(total: Int): Iterator[(Long, Long, Double)] = new Iterator[(Long, Long, Double)] {
+      private var i = 0
+      def hasNext: Boolean = i < total
+      def next(): (Long, Long, Double) = { i += 1; pool(i % pool.length) }
+    }
+    def build(size: Int): Array[(Long, ForestEval.Panes)] =
+      ForestEval.panes(g, AggSpec.Sum, events(size)).toArray
+    build(50000)
+    val before = threads.getCurrentThreadAllocatedBytes
+    val built = build(n)
+    val bytes = threads.getCurrentThreadAllocatedBytes - before
+    assert(built.length == keys && built.forall(_._2.start.length == panesPerKey))
+    assert(built.map(_._2.count.sum).sum == n)
+    assert(bytes < n, s"$bytes bytes allocated for $n events")
   }
 }
