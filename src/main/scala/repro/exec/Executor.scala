@@ -4,7 +4,7 @@ import org.apache.spark.HashPartitioner
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.{DoubleType, LongType, StructField, StructType}
+import org.apache.spark.sql.types._
 import repro.core.{Window, WcgPlan}
 
 /** Executes a multi-window aggregate query over an event DataFrame, either
@@ -25,9 +25,19 @@ import repro.core.{Window, WcgPlan}
   * Input: events with integer event time `t` (in abstract time units ≥ 0),
   * grouping key `k` (the `DeviceID` of Figure 1) and value `v`. Both plans
   * drop an event whose `t` is null; the rewritten plan needs `k` and `v`
-  * non-null. In the baseline, MIN, MAX, SUM and AVG ignore an event whose
-  * `v` is null (an instance whose every `v` is null gets a null value), and
-  * COUNT counts every event, like SQL's `COUNT(*)`.
+  * non-null, `k` and `t` integral and `v` numeric. In the baseline, MIN,
+  * MAX, SUM and AVG ignore an event whose `v` is null (an instance whose
+  * every `v` is null gets a null value), and COUNT counts every event, like
+  * SQL's `COUNT(*)`.
+  *
+  * The rewritten plan reads the events through their own physical plan,
+  * `events.queryExecution.toRdd`, which Spark plans once per DataFrame and
+  * keeps, as it does for `Dataset.rdd`. Two limits follow. Events persisted
+  * before their plan was first built are read through the cache; a
+  * DataFrame planned before it was persisted keeps reading its source,
+  * exactly like `Dataset.rdd`. And a wide input is read whole, every column
+  * of every row, so a caller that reuses a narrow `(k, t, v)` DataFrame
+  * gets the cheapest read.
   *
   * Output schema: `(w_r, w_s, k, wstart, value)` — one row per window per
   * key per instance that saw at least one event.
@@ -94,8 +104,10 @@ object Executor {
   /** Rewritten plan: the whole min-cost WCG forest run per key as one
     * Spark job over one shuffle on `k` (right side of Figure 2(a)).
     *
-    *  - Map side: the events are projected to `(k, t, v)` as long, long,
-    *    double, read straight from each internal row into a
+    *  - Map side: the events' internal rows, `events.queryExecution.toRdd`,
+    *    which Spark plans once per DataFrame, are read field by field at
+    *    the ordinals of `k`, `t` and `v` resolved on the driver from
+    *    `events.schema`, as long, long and double, into a
     *    `ForestEval.PaneBuilder`. It merges each input partition's events
     *    per key into panes of length `ForestEval.paneLength(plan)`, the gcd
     *    of the roots' ranges and slides, in primitive arrays, allocating
@@ -118,6 +130,13 @@ object Executor {
     * but are not exposed. A reduce task holds, without spilling, the panes
     * of its partition plus the instances of one key's forest.
     *
+    * Types: `k` and `t` must be integral (byte, short, int or long) and `v`
+    * numeric (integral, float, double or decimal). Each name is resolved
+    * with the session's case sensitivity, as `select` resolves it. A
+    * missing or ambiguous column, or one of another type, is refused here,
+    * before any job runs, with an `IllegalArgumentException` naming the
+    * column and its type.
+    *
     * Nulls: an event with a null `t` is dropped, as `baseline` drops it.
     * A null `k` or `v` fails the job: the action throws with, as its cause,
     * an `IllegalArgumentException` naming the column.
@@ -128,12 +147,12 @@ object Executor {
       s"plan built for ${plan.semantics} but ${agg.name} needs ${agg.semantics}")
     val spark = events.sparkSession
     val g = ForestEval.paneLength(plan)
-    val rows = events
-      .select(col("k").cast("long"), col("t").cast("long"), col("v").cast("double"))
-      .queryExecution.toRdd
+    val (k, t, v) = (field(events, "k", integral = true), field(events, "t", integral = true),
+      field(events, "v", integral = false))
+    val rows = events.queryExecution.toRdd
       .mapPartitions { in =>
         val panes = new ForestEval.PaneBuilder(g, agg)
-        in.foreach(row => if (!row.isNullAt(1)) addEvent(panes, row))
+        in.foreach(row => if (!t.isNull(row)) addEvent(panes, row, k, t, v))
         panes.result()
       }
       .partitionBy(new HashPartitioner(math.min(spark.conf.get("spark.sql.shuffle.partitions").toInt,
@@ -142,16 +161,58 @@ object Executor {
     spark.createDataFrame(rows, outputSchema)
   }
 
-  /** Adds a projected event with a non-null `t` to `panes`, read before its
-    * (reused) row advances.
+  /** Adds the event in `row`, whose `t` is not null, to `panes`, each field
+    * read before the (reused) row advances.
     */
-  private def addEvent(panes: ForestEval.PaneBuilder, row: InternalRow): Unit = {
-    if (row.isNullAt(0)) throw nullIn("k", row)
-    if (row.isNullAt(2)) throw nullIn("v", row)
-    panes.add(row.getLong(0), row.getLong(1), row.getDouble(2))
+  private def addEvent(panes: ForestEval.PaneBuilder, row: InternalRow,
+                       k: Field, t: Field, v: Field): Unit = {
+    if (k.isNull(row)) throw nullIn("k", t.long(row))
+    if (v.isNull(row)) throw nullIn("v", t.long(row))
+    panes.add(k.long(row), t.long(row), v.double(row))
   }
 
-  private def nullIn(column: String, row: InternalRow): IllegalArgumentException =
-    new IllegalArgumentException(
-      s"rewritten plan: the event at t=${row.getLong(1)} has a null $column")
+  private def nullIn(column: String, t: Long): IllegalArgumentException =
+    new IllegalArgumentException(s"rewritten plan: the event at t=$t has a null $column")
+
+  /** Column `ordinal`, of type `dataType`, of the events' internal rows. */
+  private final case class Field(ordinal: Int, dataType: DataType) {
+    def isNull(row: InternalRow): Boolean = row.isNullAt(ordinal)
+
+    /** The field of `row`, non-null and integral, as a long. */
+    def long(row: InternalRow): Long = dataType match {
+      case LongType => row.getLong(ordinal)
+      case IntegerType => row.getInt(ordinal)
+      case ShortType => row.getShort(ordinal)
+      case ByteType => row.getByte(ordinal)
+    }
+
+    /** The field of `row`, non-null and numeric, as a double. */
+    def double(row: InternalRow): Double = dataType match {
+      case DoubleType => row.getDouble(ordinal)
+      case FloatType => row.getFloat(ordinal)
+      case d: DecimalType => row.getDecimal(ordinal, d.precision, d.scale).toDouble
+      case _ => long(row)
+    }
+  }
+
+  /** Column `name` of `events`, resolved with the session's case
+    * sensitivity as `select` resolves it. It must be integral or, when
+    * `integral` is false, numeric.
+    */
+  private def field(events: DataFrame, name: String, integral: Boolean): Field = {
+    val resolver = events.queryExecution.sparkSession.sessionState.conf.resolver
+    val schema = events.schema
+    val found = schema.fieldNames.indices.filter(i => resolver(schema(i).name, name))
+    require(found.size == 1, s"rewritten plan: ${if (found.isEmpty) "no" else "an ambiguous"} " +
+      s"column $name in ${schema.simpleString}")
+    val dataType = schema(found.head).dataType
+    val accepted = dataType match {
+      case ByteType | ShortType | IntegerType | LongType => true
+      case FloatType | DoubleType | _: DecimalType => !integral
+      case _ => false
+    }
+    require(accepted, s"rewritten plan: column $name has type ${dataType.simpleString}, " +
+      (if (integral) "not byte, short, int or long" else "not numeric"))
+    Field(found.head, dataType)
+  }
 }

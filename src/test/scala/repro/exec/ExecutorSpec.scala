@@ -7,6 +7,7 @@ import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.execution.GenerateExec
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.sql.functions._
 import org.apache.spark.storage.StorageLevel
@@ -213,6 +214,71 @@ class ExecutorSpec extends SparkSpec {
     try {
       ev.count()
       Executor.rewritten(ev, plan, AggSpec.Min).collect()
+      assert(ev.storageLevel == StorageLevel.MEMORY_ONLY, "caller's input was unpersisted")
+    } finally ev.unpersist(blocking = true)
+  }
+
+  // ---- reading the events ----------------------------------------------------
+
+  /** Every RDD in the lineage of `rdd`, `rdd` first. */
+  private def lineage(rdd: RDD[_]): Seq[RDD[_]] =
+    rdd +: rdd.dependencies.flatMap(d => lineage(d.rdd))
+
+  test("rewritten reads k, t and v by name, at any ordinal and integral or numeric width") {
+    val ev = events()
+    Seq(
+      "int k and t, float v" -> ev.select(col("k").cast("int").as("k"),
+        col("t").cast("int").as("t"), col("v").cast("float").as("v")),
+      "short k, decimal v" -> ev.select(col("k").cast("short").as("k"), col("t"),
+        col("v").cast("decimal(10,3)").as("v")),
+      "(v, note, t, k)" -> ev.select(col("v"), concat(lit("note "), col("k")).as("note"),
+        col("t"), col("k")),
+      "upper-case names, case-insensitive session" -> ev.toDF("T", "K", "V")
+    ).foreach { case (hint, input) =>
+      Seq(AggSpec.Min, AggSpec.Sum, AggSpec.Avg).foreach(agg =>
+        checkPlanEquality(ex7, agg, input, withFactors = true, hint))
+    }
+  }
+
+  test("rewritten refuses a missing k, t or v, or one of another type, before any job runs") {
+    val plan = CostModel.minCostPlan(ex1, Semantics.CoveredBy, 100)
+    val caseSensitive = spark.newSession()
+    caseSensitive.conf.set("spark.sql.caseSensitive", "true")
+    Seq(
+      events().withColumn("k", col("k").cast("string")) -> "column k has type string",
+      events().withColumn("t", col("t").cast("double")) -> "column t has type double",
+      events().withColumn("v", col("v").cast("string")) -> "column v has type string",
+      events().drop("v") -> "no column v",
+      SynthData.events(caseSensitive, 500, 120).toDF("t", "K", "v") -> "no column k"
+    ).foreach { case (ev, expected) =>
+      var refused: IllegalArgumentException = null
+      val jobs = stagesPerJob {
+        refused = intercept[IllegalArgumentException](Executor.rewritten(ev, plan, AggSpec.Min))
+      }
+      assert(refused.getMessage.contains(expected), refused.getMessage)
+      assert(jobs.isEmpty, s"$expected: refused after $jobs jobs")
+    }
+  }
+
+  test("two rewritten calls on one DataFrame read its one planned RDD, with no plan of their own") {
+    val ev = events()
+    val plan = FactorWindows.minCostPlanWithFactors(ex7, Semantics.CoveredBy, 100)
+    val reads = Seq(AggSpec.Min, AggSpec.Max).map(agg =>
+      lineage(Executor.rewritten(ev, plan, agg).queryExecution.toRdd).map(_.id))
+    val planned = ev.queryExecution.toRdd.id
+    reads.foreach(ids => assert(ids.contains(planned), s"RDD $planned not in the lineage $ids"))
+  }
+
+  test("events persisted before their first use are read through the cache") {
+    val plan = FactorWindows.minCostPlanWithFactors(ex7, Semantics.CoveredBy, 100)
+    val ev = events(n = 3000).persist(StorageLevel.MEMORY_ONLY)
+    try {
+      assertSameResults(Executor.baseline(ev, ex7, AggSpec.Min),
+        Executor.rewritten(ev, plan, AggSpec.Min), "persisted events")
+      val executed = ev.queryExecution.executedPlan
+      val scans = AqePlan.collect(executed) { case s: InMemoryTableScanExec => s }
+      assert(scans.size == 1, s"expected one cached scan:\n$executed")
+      assert(scans.head.metrics("numOutputRows").value == 3000, s"cache not read:\n$executed")
       assert(ev.storageLevel == StorageLevel.MEMORY_ONLY, "caller's input was unpersisted")
     } finally ev.unpersist(blocking = true)
   }
