@@ -28,18 +28,6 @@ final case class Wcg(windows: Vector[Window], semantics: Semantics) {
   /** All edges `(from, to)` = (finer, coarser) in dataflow direction. */
   def edges: Vector[(Window, Window)] =
     for { u <- windows; w <- childrenOf(u) } yield (u, w)
-
-  /** The augmented WCG (§4.1): add the virtual root `S⟨1,1⟩` unless an
-    * identical window is already present. S is tumbling, so it relates to
-    * every window under both semantics (given the paper's standing
-    * assumption r ≡ 0 mod s for "partitioned by").
-    */
-  def augmented: Wcg =
-    if (windows.contains(Window.virtualRoot)) this
-    else Wcg(Window.virtualRoot +: windows, semantics)
-
-  /** Whether the graph contains the virtual root as an auxiliary vertex. */
-  def hasVirtualRoot: Boolean = windows.contains(Window.virtualRoot)
 }
 
 object Wcg {

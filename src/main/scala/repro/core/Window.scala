@@ -21,8 +21,8 @@ final case class Window(r: Long, s: Long) {
 
   /** All intervals `[a, b)` with `b ≤ horizon` (the "complete" instances
     * within `[0, horizon]`, matching the recurrence-count convention of
-    * Figure 5). Used by the in-memory slicer; its tests restrict
-    * `repro.exec.ForestEval`'s rows to the same instances.
+    * Figure 5): the instances whose ends must lie on slice edges for a
+    * slicing of the window to recombine exactly.
     */
   def intervalsWithin(horizon: Long): Seq[(Long, Long)] =
     Iterator.from(0).map(m => interval(m.toLong)).takeWhile(_._2 <= horizon).toSeq

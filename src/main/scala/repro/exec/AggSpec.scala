@@ -18,9 +18,7 @@ import repro.core.Semantics
   * merged into it: `liftValue` is the value of one event's state, `g`
   * combines two values (counts add) and `finish(value, count)` is `h`.
   * `ForestEval`, the map- and reduce-side body of `Executor.rewritten`, runs
-  * this primitive form. The tuple form over an [[AggSpec.State]]
-  * `(value, count)` (`lift`, `merge`, `finish`) is defined on top of it, for
-  * the in-memory slicer `repro.slicing.SliceExec`.
+  * this primitive form.
   *
   * `semantics` is the WCG relation the aggregate admits (footnote 5):
   * MIN/MAX remain distributive over *overlapping* covers (Theorem 6) and
@@ -29,8 +27,6 @@ import repro.core.Semantics
   * are out of scope, as in the paper.
   */
 sealed abstract class AggSpec(val name: String, val semantics: Semantics) {
-  import AggSpec.State
-
   def lift(v: Column): Column
   def merge(st: Column): Column
   def finish(st: Column): Column
@@ -45,16 +41,9 @@ sealed abstract class AggSpec(val name: String, val semantics: Semantics) {
 
   /** `h` on a scalar state of `value` and `count` events. */
   def finish(value: Double, count: Long): Double = value
-
-  def lift(v: Double): State = (liftValue(v), 1L)
-  def merge(a: State, b: State): State = (g(a._1, b._1), a._2 + b._2)
-  def finish(st: State): Double = finish(st._1, st._2)
 }
 
 object AggSpec {
-  /** Scalar sub-aggregate state: the merged value and the event count. */
-  type State = (Double, Long)
-
   /** MIN — distributive, tolerant of overlapping covers (Theorem 6). */
   case object Min extends AggSpec("min", Semantics.CoveredBy) {
     def lift(v: Column): Column = v

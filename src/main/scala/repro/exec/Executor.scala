@@ -117,18 +117,19 @@ object Executor {
     *    `spark.sql.shuffle.partitions` partitions, but no more than the
     *    default parallelism: an RDD shuffle gets no adaptive coalescing,
     *    so more partitions would only add empty or tiny reduce tasks.
-    *  - Reduce side: `ForestEval.fromPanes`, one key at a time, merges the
-    *    key's panes into one sorted run and sweeps every node over its
-    *    sorted input spans in `plan.levels` order: the panes for a root,
-    *    its parent's instances for any other node, the `Multicast` of §3.3.
-    *    The key's user-window rows come out in the `finish` schema before
-    *    the next key is swept.
+    *  - Reduce side: `ForestEval.fromPanes` merges every pane received
+    *    through a second `PaneBuilder`, the map side's merger, into one
+    *    sorted run per key. Then, one key at a time, it sweeps every node
+    *    over its sorted input spans in `plan.levels` order: the panes for a
+    *    root, its parent's instances for any other node, the `Multicast` of
+    *    §3.3. The key's user-window rows come out in the `finish` schema
+    *    before the next key is swept.
     *
     * A collect is one job of two stages whatever the forest's depth, and
     * the shuffle carries at most one record per (input partition, key).
     * Every WCG node is aggregated exactly once; factor windows participate
-    * but are not exposed. A reduce task holds, without spilling, the panes
-    * of its partition plus the instances of one key's forest.
+    * but are not exposed. A reduce task holds, without spilling, the merged
+    * panes of its partition plus the instances of one key's forest.
     *
     * Types: `k` and `t` must be integral (byte, short, int or long) and `v`
     * numeric (integral, float, double or decimal). Each name is resolved

@@ -13,11 +13,12 @@ import scala.collection.mutable
   *    semantics; each event falls into exactly one pane, so there are never
   *    more panes than events. The builder keeps its state in primitive
   *    arrays and allocates nothing per event.
-  *  - Reduce side, `fromPanes`: one key at a time, the key's panes are
-  *    merged into one run sorted by start. Then every node, in `plan.levels`
-  *    order, sweeps its input spans in order: the panes for a root, its
-  *    parent's instances for any other node. This is the `Multicast` of
-  *    §3.3 as plain code.
+  *  - Reduce side, `fromPanes`: every pane received is merged, by its
+  *    start, into a second `PaneBuilder` of length `g`, which gives one run
+  *    of panes per key sorted by start. Then, one key at a time, every
+  *    node, in `plan.levels` order, sweeps its input spans in order: the
+  *    panes for a root, its parent's instances for any other node. This is
+  *    the `Multicast` of §3.3 as plain code.
   *
   * A span `[u, v)` (a pane, or a sub-aggregate's interval) lies in instance
   * `m` of `W⟨r, s⟩` iff `⌈(v − r)/s⌉ ≤ m ≤ ⌊u/s⌋` and `m ≥ 0`, the formula
@@ -28,8 +29,9 @@ import scala.collection.mutable
   * in turn. A sweep needs no map and no object per instance (Traub et al.,
   * "Scotty", EDBT 2019, keep their slices sorted in the same way).
   *
-  * Memory: the panes of the whole partition, plus the instances of one
-  * key's forest, whose arrays are reused for the next key.
+  * Memory: the panes of the whole partition, in the reduce side's builder,
+  * plus one key's sorted panes and the instances of its forest, whose
+  * arrays are reused for the next key.
   */
 object ForestEval {
 
@@ -43,10 +45,11 @@ object ForestEval {
     def apply(r: Long, s: Long, k: Long, wstart: Long, value: Double): T
   }
 
-  /** One key's panes of `length` time units from one input partition, as
-    * parallel arrays sorted by start: the pane's start and its state's value
-    * and count. The count is the number of events merged into the pane,
-    * since every event lifts to a state of count 1.
+  /** One key's panes of `length` time units, from one input partition or
+    * merged on the reduce side, as parallel arrays sorted by start: the
+    * pane's start and its state's value and count. The count is the number
+    * of events merged into the pane, since every event lifts to a state of
+    * count 1.
     */
   final class Panes(val length: Long, val start: Array[Long], val value: Array[Double],
                     val count: Array[Long]) extends Serializable {
@@ -67,8 +70,10 @@ object ForestEval {
     NumberTheory.gcdAll(plan.roots.flatMap(w => Seq(BigInt(w.r), BigInt(w.s)))).toLong
   }
 
-  /** Merges events `(k, t, v)` into panes of length `g`, per key, for
-    * aggregate `agg`. Pane `q = ⌊t/g⌋` of key `k` sits in a chunk of the
+  /** Merges events `(k, t, v)`, or the states of finer panes, into panes of
+    * length `g`, per key, for aggregate `agg`: the map side's events and
+    * the reduce side's panes go through this one merger. A state at time
+    * `t` goes to pane `q = ⌊t/g⌋`; pane `q` of key `k` sits in a chunk of the
     * `ChunkSize` panes that share `q >> ChunkBits`; an open-addressing table
     * finds the chunk of `(k, q >> ChunkBits)`, and the chunks' pane states
     * lie in slabs that are never copied. `add` allocates nothing unless it
@@ -99,16 +104,21 @@ object ForestEval {
     private var keyHead = new Array[Int](16)
     private var keyPanes = new Array[Int](16)
 
-    def add(k: Long, t: Long, v: Double): Unit = {
+    /** Adds the event `(k, t, v)`. */
+    def add(k: Long, t: Long, v: Double): Unit = add(k, t, agg.liftValue(v), 1L)
+
+    /** Merges a state of `value` and `count > 0` events at time `t` of key
+      * `k` into pane `⌊t/g⌋`.
+      */
+    def add(k: Long, t: Long, value: Double, count: Long): Unit = {
       val q = Math.floorDiv(t, g)
       val n = chunkOf(k, q >> ChunkBits)
       val i = ((n & SlabMask) << ChunkBits) | (q & (ChunkSize - 1)).toInt
-      val value = values(n >>> SlabBits)
-      val count = counts(n >>> SlabBits)
-      val lifted = agg.liftValue(v)
-      if (count(i) == 0) { value(i) = lifted; keyPanes(chunkKey(n)) += 1 }
-      else value(i) = agg.g(value(i), lifted)
-      count(i) += 1
+      val slabValue = values(n >>> SlabBits)
+      val slabCount = counts(n >>> SlabBits)
+      if (slabCount(i) == 0) { slabValue(i) = value; keyPanes(chunkKey(n)) += 1 }
+      else slabValue(i) = agg.g(slabValue(i), value)
+      slabCount(i) += count
     }
 
     /** The panes of every key seen, one `Panes` per key, sorted by start. */
@@ -250,25 +260,26 @@ object ForestEval {
     fromPanes(plan, agg, panes(1, agg, events))
 
   /** Run `plan` over keyed panes for aggregate `agg`. A key may come in
-    * several `Panes` (one per input partition); their states merge. Every
-    * pane length must divide `paneLength(plan)`. The panes are read now;
-    * the forest is swept, one key at a time, when the result is read.
+    * several `Panes` (one per input partition); every pane is merged into
+    * pane `⌊start/g⌋` of `g = paneLength(plan)`, so every pane length must
+    * divide `g`. The panes are read now; the forest is swept, one key at a
+    * time, when the result is read.
     */
   def fromPanes(plan: WcgPlan, agg: AggSpec, keyed: Iterator[(Long, Panes)]): Result = {
     val g = paneLength(plan)
-    val byKey = mutable.LongMap.empty[List[Panes]]
+    val builder = new PaneBuilder(g, agg)
     keyed.foreach { case (k, ps) =>
       require(g % ps.length == 0, s"panes of length ${ps.length} straddle root instances of ${plan.roots}")
-      byKey.update(k, ps :: byKey.getOrElse(k, Nil))
+      var j = 0
+      while (j < ps.start.length) { builder.add(k, ps.start(j), ps.value(j), ps.count(j)); j += 1 }
     }
-    new Result(plan, agg, g, byKey)
+    new Result(plan, agg, builder)
   }
 
   /** The forest of a run: read it with `rows`, `emit` or `merged`. Each
     * read sweeps every key again.
     */
-  final class Result private[ForestEval] (
-      plan: WcgPlan, agg: AggSpec, g: Long, byKey: mutable.LongMap[List[Panes]]) {
+  final class Result private[ForestEval] (plan: WcgPlan, agg: AggSpec, panes: PaneBuilder) {
 
     /** The user windows' rows, one per key per instance that saw an event. */
     def rows: Iterator[Row] = emit((r, s, k, a, v) => (r, s, k, a, v))
@@ -277,8 +288,8 @@ object ForestEval {
       * made right after its sweep, before the next key is swept.
       */
     def emit[T](make: MakeRow[T]): Iterator[T] = {
-      val forest = new Forest(plan, agg, g)
-      byKey.iterator.flatMap { case (k, runs) => forest.sweep(runs); forest.rows(k, make) }
+      val forest = new Forest(plan, agg)
+      panes.result().flatMap { case (k, ps) => forest.sweep(ps); forest.rows(k, make) }
     }
 
     /** Items merged into each instance of `w` (events for a root, parent
@@ -286,11 +297,11 @@ object ForestEval {
       * keys.
       */
     def merged(w: Window): Map[Long, Long] = {
-      val forest = new Forest(plan, agg, g)
+      val forest = new Forest(plan, agg)
       val i = forest.nodes.indexOf(w)
       val sum = mutable.LongMap.empty[Long]
-      byKey.valuesIterator.foreach { runs =>
-        forest.sweep(runs)
+      panes.result().foreach { case (_, ps) =>
+        forest.sweep(ps)
         val out = forest.out(i)
         (0 until out.n).foreach(j => sum.update(out.start(j), sum.getOrElse(out.start(j), 0L) + out.items(j)))
       }
@@ -322,28 +333,20 @@ object ForestEval {
   /** One key's forest: the instances of every node, in `plan.topological`
     * order, after `sweep`.
     */
-  private final class Forest(plan: WcgPlan, agg: AggSpec, g: Long) {
+  private final class Forest(plan: WcgPlan, agg: AggSpec) {
     val nodes: Vector[Window] = plan.topological
     private val window = nodes.toArray
     private val parent = nodes.map(w => plan.parent(w).fold(-1)(nodes.indexOf)).toArray
     private val user = plan.userWindows.map(nodes.indexOf).toArray
     val out: Array[Spans] = Array.fill(nodes.size)(new Spans)
-    // The key's panes, merged from its runs; `spare` takes the next merge.
-    private var panes = new Spans
-    private var spare = new Spans
 
-    /** Sweeps every node over one key's runs of panes. */
-    def sweep(runs: List[Panes]): Unit = {
-      val (start, value, count, n) = runs match {
-        case run :: Nil if run.length == g => (run.start, run.value, run.count, run.start.length)
-        case _ =>
-          panes.n = 0
-          runs.foreach(mergeRun)
-          (panes.start, panes.value, panes.count, panes.n)
-      }
+    /** Sweeps every node over one key's panes. */
+    def sweep(panes: Panes): Unit = {
       var i = 0
       while (i < window.length) {
-        if (parent(i) < 0) sweepNode(window(i), g, n, start, value, count, count, out(i))
+        if (parent(i) < 0)
+          sweepNode(window(i), panes.length, panes.start.length, panes.start, panes.value, panes.count,
+            panes.count, out(i))
         else {
           val in = out(parent(i))
           sweepNode(window(i), window(parent(i)).r, in.n, in.start, in.value, in.count, null, out(i))
@@ -351,28 +354,6 @@ object ForestEval {
         i += 1
       }
     }
-
-    /** Merges `run`, re-bucketed to panes of length `g`, into `panes`. */
-    private def mergeRun(run: Panes): Unit = {
-      val (a, b) = (panes, spare)
-      b.n = 0
-      var i = 0
-      var j = 0
-      while (i < a.n || j < run.start.length) {
-        val p = if (j < run.start.length) Math.floorDiv(run.start(j), g) * g else Long.MaxValue
-        if (j == run.start.length || (i < a.n && a.start(i) <= p)) {
-          addPane(b, a.start(i), a.value(i), a.count(i)); i += 1
-        } else {
-          addPane(b, p, run.value(j), run.count(j)); j += 1
-        }
-      }
-      panes = b; spare = a
-    }
-
-    private def addPane(to: Spans, p: Long, v: Double, c: Long): Unit =
-      if (to.n > 0 && to.start(to.n - 1) == p) {
-        to.value(to.n - 1) = agg.g(to.value(to.n - 1), v); to.count(to.n - 1) += c
-      } else to.add(p, v, c, c)
 
     /** Sweeps `w` over `n` spans of length `len`, sorted by start, into
       * `to`. Span `j` merges its state into instances `lo..hi` of `w`; `lo`

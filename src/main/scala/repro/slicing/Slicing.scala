@@ -87,13 +87,6 @@ object Slicing {
     }
   }
 
-  /** All edge positions in `[0, horizon]` (inclusive of the horizon edge).
-    * Used by the executable slice evaluator in tests.
-    */
-  def edgePositions(progs: Seq[Progression], horizon: Long): Vector[Long] =
-    (progs.flatMap { p => (p.a to horizon by p.m) } :+ 0L :+ horizon)
-      .distinct.sorted.toVector
-
   /** Costs of the Table 1 techniques over the slicing period `S = lcm(s_i)`
     * with `T = η·S` input events: `(partial, final)` pairs.
     */

@@ -5,7 +5,6 @@ import org.scalatest.funsuite.AnyFunSuite
 class WcgSpec extends AnyFunSuite with SeededProps {
 
   private val ex1 = Seq(10L, 20L, 30L, 40L).map(Window.tumbling) // Example 1
-  private val ex7 = Seq(20L, 30L, 40L).map(Window.tumbling)      // Example 7
 
   test("window set must not contain duplicates") {
     assertThrows[IllegalArgumentException](
@@ -47,24 +46,10 @@ class WcgSpec extends AnyFunSuite with SeededProps {
     assert(g.childrenOf(hop).isEmpty)
   }
 
-  test("augmented WCG adds the virtual root S(1,1) exactly once") {
-    val g = Wcg(ex7, Semantics.CoveredBy).augmented
-    assert(g.windows.count(_ == Window.virtualRoot) == 1)
-    assert(g.hasVirtualRoot)
-    assert(g.augmented eq g.augmented) // second augmentation is a no-op value
-    assert(g.augmented.windows == g.windows)
-  }
-
-  test("augmented WCG keeps a pre-existing S(1,1)") {
-    val g = Wcg(Vector(Window(1, 1), Window(4, 2)), Semantics.CoveredBy)
-    assert(g.augmented.windows == g.windows)
-  }
-
-  test("virtual root reaches every window in the augmented graph") {
-    sampled(100) { rnd => alignedSet(rnd, 5).filter(_.r > 1) } { ws =>
-      if (ws.nonEmpty) {
-        val g = Wcg(ws, Semantics.CoveredBy).augmented
-        assert(g.childrenOf(Window.virtualRoot).toSet == ws.toSet)
+  test("virtual root relates to every window under both semantics") {
+    sampled(100) { rnd => alignedSet(rnd, 5) } { ws =>
+      Seq(Semantics.CoveredBy, Semantics.PartitionedBy).foreach { sem =>
+        ws.foreach(w => assert(sem.relates(w, Window.virtualRoot), s"$w, $sem"))
       }
     }
   }

@@ -62,9 +62,11 @@ class AggSpecSpec extends SparkSpec {
       val cut = 1 + rnd.nextInt(vs.size - 1)
       val values = vs.toDF("v")
       AggSpec.all.foreach { agg =>
-        def fold(xs: Seq[Double]): AggSpec.State = xs.map(agg.lift(_)).reduce(agg.merge(_, _))
-        val flat = agg.finish(fold(vs))
-        val twoLevel = agg.finish(agg.merge(fold(vs.take(cut)), fold(vs.drop(cut))))
+        // A state's value and count: `liftValue` and 1 per event, `g` and + per merge.
+        def fold(xs: Seq[Double]): (Double, Long) = (xs.map(agg.liftValue).reduce(agg.g), xs.size.toLong)
+        val flat = fold(vs) match { case (value, count) => agg.finish(value, count) }
+        val ((v1, c1), (v2, c2)) = (fold(vs.take(cut)), fold(vs.drop(cut)))
+        val twoLevel = agg.finish(agg.g(v1, v2), c1 + c2)
         val column = values
           .select(agg.lift(col("v")).as("st0"))
           .agg(agg.merge(col("st0")).as("st"))

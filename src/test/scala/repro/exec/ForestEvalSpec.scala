@@ -103,10 +103,10 @@ class ForestEvalSpec extends AnyFunSuite {
   }
 
   /** Random events on two hyper-periods of `plan`, split at random into
-    * 1–8 input partitions, each merged into panes, must give through
-    * `fromPanes` the rows and per-node counts of one pass over the events:
-    * MIN exactly, SUM and AVG within 1e-9 relative (panes add in another
-    * order).
+    * 1–8 input partitions, each merged into panes of a random length, 1 or
+    * `paneLength(plan)`, must give through `fromPanes` the rows and
+    * per-node counts of one pass over the events: MIN exactly, SUM and AVG
+    * within 1e-9 relative (panes add in another order).
     */
   private def assertPanesMatchOnePass(plan: WcgPlan, hint: String, seed: Long): Unit = {
     val rnd = new scala.util.Random(seed)
@@ -119,9 +119,10 @@ class ForestEvalSpec extends AnyFunSuite {
       val parts = 1 + rnd.nextInt(8)
       val split = events.groupBy(_ => rnd.nextInt(parts)).values
       val g = ForestEval.paneLength(plan)
+      val lengths = split.map(_ => if (rnd.nextBoolean()) 1L else g)
       val viaPanes = ForestEval.fromPanes(plan, agg,
-        split.iterator.flatMap(part => ForestEval.panes(g, agg, part.iterator)))
-      val h = s"$hint (${agg.name}, $parts partitions, pane length $g)"
+        split.zip(lengths).iterator.flatMap { case (part, len) => ForestEval.panes(len, agg, part.iterator) })
+      val h = s"$hint (${agg.name}, $parts partitions, pane lengths ${lengths.mkString(",")} of $g)"
       val (want, got) = (keyed(onePass.rows), keyed(viaPanes.rows))
       assert(got.keySet == want.keySet, h)
       want.foreach { case (k, v) =>
@@ -282,6 +283,14 @@ class ForestEvalSpec extends AnyFunSuite {
         }
       }
     }
+  }
+
+  test("fromPanes refuses panes whose length does not divide paneLength") {
+    val plan = CostModel.minCostPlan(hopping, Semantics.CoveredBy, 1)
+    assert(ForestEval.paneLength(plan) == 10)
+    val panes = ForestEval.panes(4, AggSpec.Min, Iterator((0L, 5L, 1.0)))
+    val refused = intercept[IllegalArgumentException](ForestEval.fromPanes(plan, AggSpec.Min, panes))
+    assert(refused.getMessage.contains("panes of length 4"))
   }
 
   test("no panes, no rows: an empty reduce partition") {

@@ -1,8 +1,7 @@
 package repro.slicing
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{CostModel, NumberTheory, SeededProps, WcgPlan, Window}
-import repro.exec.{AggSpec, ForestEval}
+import repro.core.{NumberTheory, SeededProps, Window}
 
 class SlicingSpec extends AnyFunSuite with SeededProps {
 
@@ -142,61 +141,50 @@ class SlicingSpec extends AnyFunSuite with SeededProps {
     }
   }
 
-  // ---- executable slicing == direct evaluation ----------------------------
+  // ---- slice edges align every window instance ----------------------------
 
-  private def checkExecutable(ws: Seq[Window], agg: AggSpec,
-                              edges: Window => Seq[Progression], horizon: Long,
-                              seed: Long): Unit = {
-    val rnd = new scala.util.Random(seed)
-    val events = Vector.fill(400)((rnd.nextLong(horizon), rnd.nextDouble() * 100))
+  /** Whether both ends of every instance `[a, b)` of every window in `ws`,
+    * with `b ≤ horizon`, lie on an edge of the composed slicing `edges`:
+    * then each instance is a union of whole slices, and the slices'
+    * partial aggregates recombine into its exact result.
+    */
+  private def aligned(ws: Seq[Window], edges: Window => Seq[Progression], horizon: Long): Boolean = {
     val composed = ws.flatMap(edges)
-    val bounds = Slicing.edgePositions(composed, horizon)
-    val partials = SliceExec.slicePartials(events, bounds, agg)
-    // Direct evaluation: every window from the raw events, no WCG edges.
-    val edgeless = WcgPlan(ws.toVector.distinct, Vector.empty,
-      ws.map(_ -> Option.empty[Window]).toMap, agg.semantics, 1, CostModel.hyperPeriod(ws))
-    val forest = ForestEval(edgeless, agg, events.iterator.map { case (t, v) => (0L, t, v) })
-    ws.foreach { w =>
-      val fromSlices = SliceExec.windowFromSlices(w, bounds, partials, horizon, agg)
-      val direct = forest.rows.collect {
-        case (w.r, w.s, _, a, v) if a + w.r <= horizon => a -> v
-      }.toMap
-      assert(fromSlices.keySet == direct.keySet, s"$w instances differ")
-      fromSlices.foreach { case (a, v) =>
-        assert(math.abs(v - direct(a)) < 1e-9, s"$w @ $a: $v vs ${direct(a)}")
-      }
+    ws.forall(_.intervalsWithin(horizon).forall { case (a, b) =>
+      composed.exists(_.contains(a)) && composed.exists(_.contains(b))
+    })
+  }
+
+  test("shared paired edges align every instance of {W(10,4), W(12,6), W(8,2)}") {
+    assert(aligned(Seq(Window(10, 4), Window(12, 6), Window(8, 2)), Slicing.pairedEdges, horizon = 120))
+  }
+
+  test("shared paned edges align every instance of {W(10,4), W(12,6), W(8,2)}") {
+    assert(aligned(Seq(Window(10, 4), Window(12, 6), Window(8, 2)), Slicing.panedEdges, horizon = 120))
+  }
+
+  test("shared paired edges align every instance of the Example 1 tumbling set") {
+    assert(aligned(Seq(10L, 20L, 30L, 40L).map(Window.tumbling), Slicing.pairedEdges, horizon = 240))
+  }
+
+  test("paired and paned edges align every instance of random aligned sets") {
+    sampled(100) { rnd => alignedSet(rnd, 3, sMax = 6, kMax = 4) } { ws =>
+      assert(aligned(ws, Slicing.pairedEdges, horizon = 150), s"paired $ws")
+      assert(aligned(ws, Slicing.panedEdges, horizon = 150), s"paned $ws")
     }
   }
 
-  test("shared paired slicing reproduces direct window results (min)") {
-    checkExecutable(Seq(Window(10, 4), Window(12, 6), Window(8, 2)),
-      AggSpec.Min, Slicing.pairedEdges, horizon = 120, seed = 1)
-  }
-
-  test("shared paned slicing reproduces direct window results (sum)") {
-    checkExecutable(Seq(Window(10, 4), Window(12, 6), Window(8, 2)),
-      AggSpec.Sum, Slicing.panedEdges, horizon = 120, seed = 2)
-  }
-
-  test("shared paired slicing reproduces direct results on tumbling sets (avg)") {
-    checkExecutable(Seq(10L, 20L, 30L, 40L).map(Window.tumbling),
-      AggSpec.Avg, Slicing.pairedEdges, horizon = 240, seed = 3)
-  }
-
-  test("executable slicing matches direct results on random aligned sets") {
-    sampled(30) { rnd => (alignedSet(rnd, 3, sMax = 6, kMax = 4), rnd.nextLong(1000)) } {
-      case (ws, seed) =>
-        Seq(AggSpec.Min, AggSpec.Max, AggSpec.Count).foreach { agg =>
-          checkExecutable(ws, agg, Slicing.pairedEdges, horizon = 150, seed = seed)
-        }
+  test("unshared: each window's own paired and paned edges align its instances") {
+    Seq(Window(10, 4), Window(9, 3)).foreach { w =>
+      assert(aligned(Seq(w), Slicing.pairedEdges, 100), s"paired $w")
+      assert(aligned(Seq(w), Slicing.panedEdges, 100), s"paned $w")
     }
   }
 
-  test("unshared slicing (per-window slices) also reproduces direct results") {
-    val ws = Seq(Window(10, 4), Window(9, 3))
-    ws.foreach { w =>
-      checkExecutable(Seq(w), AggSpec.Min, Slicing.pairedEdges, 100, 4)
-      checkExecutable(Seq(w), AggSpec.Sum, Slicing.panedEdges, 100, 5)
-    }
+  test("the alignment check refuses W(10,4) on multiples of 4 alone") {
+    // Every instance of W(10,4) ends at 2 mod 4, as [4, 14) ends at 14: the
+    // paired edges hold that class, edges at multiples of 4 alone do not.
+    assert(!aligned(Seq(Window(10, 4)), _ => Seq(Progression(0, 4)), horizon = 20))
+    assert(aligned(Seq(Window(10, 4)), _ => Seq(Progression(0, 4), Progression(2, 4)), horizon = 20))
   }
 }
