@@ -11,7 +11,8 @@ import repro.eval.EvalHarness
 private object FigureJob {
   def print(panels: String*): Unit =
     panels.map(EvalHarness.panel).foreach(p => p.etas.foreach(eta =>
-      println(EvalHarness.runExperiment(p.title(eta), p.kind, p.semantics, eta))))
+      println(EvalHarness.render(p.title(eta), p.kind, p.semantics, eta,
+        EvalHarness.evaluate(p.kind, p.semantics, eta)))))
 }
 
 /** Figure 11: RandomGen, general windows. */

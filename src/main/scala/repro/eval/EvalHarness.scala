@@ -88,11 +88,4 @@ object EvalHarness {
       f"WCG-FW=${geoMeanRatio(_.wcgFw)}%.4f\n"
     sb.result()
   }
-
-  /** Run one experiment (one figure panel at one rate): all sets × all
-    * techniques, rendered.
-    */
-  def runExperiment(title: String, kind: String, semantics: Semantics,
-                    eta: Long): String =
-    render(title, kind, semantics, eta, evaluate(kind, semantics, eta))
 }

@@ -91,9 +91,4 @@ object AggSpec {
   }
 
   val all: Seq[AggSpec] = Seq(Min, Max, Sum, Count, Avg)
-
-  def byName(n: String): AggSpec =
-    all.find(_.name == n.toLowerCase)
-      .getOrElse(throw new IllegalArgumentException(
-        s"unknown aggregate '$n' (supported: ${all.map(_.name).mkString(", ")})"))
 }

@@ -72,18 +72,30 @@ object Executor {
       .groupBy(col("k"), col("wstart2").as("wstart"))
       .agg(agg.merge(col("st")).as("st"))
 
-  /** Finalize a sub-aggregate DataFrame of `w` — states `st` per key `k`
-    * and instance start `wstart` — into the output schema
-    * `(w_r, w_s, k, wstart, value)`: the window's range and slide, the key,
-    * the instance start and the finished value.
+  /** The one output schema of every plan, `(w_r, w_s, k, wstart, value)`:
+    * the window's range and slide, the key and the instance start as
+    * bigint, and the finished value as double. `finish` casts to it, and
+    * `rewritten` makes its rows, outside Catalyst, in it; so `baseline`,
+    * `rewritten` and `StreamingRewrite.chains` return the same column names
+    * and types whatever the integral type of the input's `k`.
     */
-  def finish(df: DataFrame, w: Window, agg: AggSpec): DataFrame =
-    df.select(
-      lit(w.r).as("w_r"),
-      lit(w.s).as("w_s"),
-      col("k"),
-      col("wstart"),
+  private val outputSchema = StructType(
+    Seq("w_r", "w_s", "k", "wstart").map(StructField(_, LongType, nullable = false)) :+
+      StructField("value", DoubleType, nullable = false))
+
+  /** Finalize a sub-aggregate DataFrame of `w` — states `st` per key `k`
+    * and instance start `wstart` — into `outputSchema`'s names and types.
+    * Only a frame whose columns differ (an int `k`, say) is cast: a cast
+    * to the same type would leave its alias in the first branch of the
+    * baseline's optimized union.
+    */
+  def finish(df: DataFrame, w: Window, agg: AggSpec): DataFrame = {
+    val out = df.select(lit(w.r).as("w_r"), lit(w.s).as("w_s"), col("k"), col("wstart"),
       agg.finish(col("st")).cast("double").as("value"))
+    def namesAndTypes(schema: StructType) = schema.map(f => f.name -> f.dataType)
+    if (namesAndTypes(out.schema) == namesAndTypes(outputSchema)) out
+    else out.select(outputSchema.map(f => col(f.name).cast(f.dataType).as(f.name)): _*)
+  }
 
   /** Baseline plan: every distinct window aggregated independently from the
     * raw events, results unioned (left side of Figure 2(a)). A repeated
@@ -95,11 +107,6 @@ object Executor {
       .map(w => finish(subAggFromEvents(events, w, agg), w, agg))
       .reduce(_.unionAll(_))
   }
-
-  /** The schema of `finish`, for rows made outside Catalyst. */
-  private val outputSchema = StructType(
-    Seq("w_r", "w_s", "k", "wstart").map(StructField(_, LongType, nullable = false)) :+
-      StructField("value", DoubleType, nullable = false))
 
   /** Rewritten plan: the whole min-cost WCG forest run per key as one
     * Spark job over one shuffle on `k` (right side of Figure 2(a)).
@@ -122,8 +129,8 @@ object Executor {
     *    sorted run per key. Then, one key at a time, it sweeps every node
     *    over its sorted input spans in `plan.levels` order: the panes for a
     *    root, its parent's instances for any other node, the `Multicast` of
-    *    §3.3. The key's user-window rows come out in the `finish` schema
-    *    before the next key is swept.
+    *    §3.3. The key's user-window rows come out in `outputSchema` before
+    *    the next key is swept.
     *
     * A collect is one job of two stages whatever the forest's depth, and
     * the shuffle carries at most one record per (input partition, key).

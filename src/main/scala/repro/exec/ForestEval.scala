@@ -35,12 +35,9 @@ import scala.collection.mutable
   */
 object ForestEval {
 
-  /** One output row `(w_r, w_s, k, wstart, value)`, the layout of
-    * `Executor.finish`.
+  /** Makes an output row `(w_r, w_s, k, wstart, value)`, the layout of
+    * `Executor.outputSchema`, of some type from its fields, unboxed.
     */
-  type Row = (Long, Long, Long, Long, Double)
-
-  /** Makes an output row of some type from its fields, unboxed. */
   trait MakeRow[T] {
     def apply(r: Long, s: Long, k: Long, wstart: Long, value: Double): T
   }
@@ -244,21 +241,6 @@ object ForestEval {
     }
   }
 
-  /** Events given as `(k, t, v)`, merged per key into panes of length `g`:
-    * one `Panes` per key.
-    */
-  def panes(g: Long, agg: AggSpec, events: Iterator[(Long, Long, Double)]): Iterator[(Long, Panes)] = {
-    val builder = new PaneBuilder(g, agg)
-    events.foreach { case (k, t, v) => builder.add(k, t, v) }
-    builder.result()
-  }
-
-  /** Run `plan` over `events`, given as `(k, t, v)`, for aggregate `agg`:
-    * every event is its own pane of one time unit.
-    */
-  def apply(plan: WcgPlan, agg: AggSpec, events: Iterator[(Long, Long, Double)]): Result =
-    fromPanes(plan, agg, panes(1, agg, events))
-
   /** Run `plan` over keyed panes for aggregate `agg`. A key may come in
     * several `Panes` (one per input partition); every pane is merged into
     * pane `⌊start/g⌋` of `g = paneLength(plan)`, so every pane length must
@@ -276,16 +258,14 @@ object ForestEval {
     new Result(plan, agg, builder)
   }
 
-  /** The forest of a run: read it with `rows`, `emit` or `merged`. Each
-    * read sweeps every key again.
+  /** The forest of a run: read it with `emit` or `merged`. Each read
+    * sweeps every key again.
     */
   final class Result private[ForestEval] (plan: WcgPlan, agg: AggSpec, panes: PaneBuilder) {
 
-    /** The user windows' rows, one per key per instance that saw an event. */
-    def rows: Iterator[Row] = emit((r, s, k, a, v) => (r, s, k, a, v))
-
-    /** The user windows' rows, each made by `make`: one key's rows are
-      * made right after its sweep, before the next key is swept.
+    /** The user windows' rows, one per key per instance that saw an event,
+      * each made by `make`: one key's rows are made right after its sweep,
+      * before the next key is swept.
       */
     def emit[T](make: MakeRow[T]): Iterator[T] = {
       val forest = new Forest(plan, agg)

@@ -214,7 +214,8 @@ class TechniquesSpec extends AnyFunSuite with SeededProps {
   }
 
   test("experiment tables render one row per window set plus a summary") {
-    val table = EvalHarness.runExperiment("t", "chain", Semantics.CoveredBy, 10)
+    val table = EvalHarness.render("t", "chain", Semantics.CoveredBy, 10,
+      EvalHarness.evaluate("chain", Semantics.CoveredBy, 10))
     assert(table.linesIterator.count(_.matches("^set\\d+ .*")) == EvalHarness.SetsPerExperiment)
     assert(table.contains("geo-mean"))
   }

@@ -7,11 +7,6 @@ import repro.core.Semantics
 class AggSpecSpec extends SparkSpec {
   import spark.implicits._
 
-  test("byName resolves every aggregate case-insensitively") {
-    AggSpec.all.foreach(a => assert(AggSpec.byName(a.name.toUpperCase) == a))
-    assertThrows[IllegalArgumentException](AggSpec.byName("median"))
-  }
-
   test("semantics follow footnote 5: MIN/MAX covered-by, SUM/COUNT/AVG partitioned-by") {
     assert(AggSpec.Min.semantics == Semantics.CoveredBy)
     assert(AggSpec.Max.semantics == Semantics.CoveredBy)

@@ -10,6 +10,7 @@ import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{DoubleType, LongType}
 import org.apache.spark.storage.StorageLevel
 import repro.{Oracle, SparkSpec, SynthData}
 import repro.core._
@@ -496,6 +497,16 @@ class ExecutorSpec extends SparkSpec {
   test("output schema is (w_r, w_s, k, wstart, value)") {
     val df = Executor.baseline(events(500, 60), Seq(Window(10, 5)), AggSpec.Min)
     assert(df.columns.toSeq == Seq("w_r", "w_s", "k", "wstart", "value"))
+    // The same names and types from both plans, for a long and an int k.
+    val ws = Seq(Window(10, 5), Window(20, 10))
+    val plan = CostModel.minCostPlan(ws, Semantics.CoveredBy, 100)
+    Seq("long k" -> events(500, 60), "int k" -> events(500, 60).withColumn("k", col("k").cast("int")))
+      .foreach { case (hint, ev) =>
+        val Seq(base, rew) = Seq(Executor.baseline(ev, ws, AggSpec.Min), Executor.rewritten(ev, plan, AggSpec.Min))
+          .map(_.schema.map(f => f.name -> f.dataType))
+        assert(base == rew, hint)
+        assert(rew == Seq("w_r", "w_s", "k", "wstart").map(_ -> LongType) :+ ("value" -> DoubleType), hint)
+      }
   }
 
   test("a repeated window: baseline == rewritten, each row once") {

@@ -21,6 +21,27 @@ class ForestEvalSpec extends AnyFunSuite {
   private val ex7 = Seq(20L, 30L, 40L).map(Window.tumbling)
   private val hopping = Seq(Window(40, 10), Window(80, 20), Window(120, 40))
 
+  /** Events `(k, t, v)` merged per key into panes of length `g` by one
+    * `PaneBuilder`, as each input partition of `Executor.rewritten` is.
+    */
+  private def panes(g: Long, agg: AggSpec,
+                    events: IterableOnce[(Long, Long, Double)]): Iterator[(Long, ForestEval.Panes)] = {
+    val builder = new ForestEval.PaneBuilder(g, agg)
+    events.iterator.foreach { case (k, t, v) => builder.add(k, t, v) }
+    builder.result()
+  }
+
+  /** `plan` run over `events` in one pass: every event is its own pane of
+    * one time unit.
+    */
+  private def onePass(plan: WcgPlan, agg: AggSpec,
+                      events: IterableOnce[(Long, Long, Double)]): ForestEval.Result =
+    ForestEval.fromPanes(plan, agg, panes(1, agg, events))
+
+  /** The user windows' rows of `result`, `(w_r, w_s, k, wstart) -> value`. */
+  private def rows(result: ForestEval.Result): Map[(Long, Long, Long, Long), Double] =
+    result.emit((r, s, k, a, v) => (r, s, k, a) -> v).toMap
+
   /** Runs `plan` over a dense stream on `[0, R)`, one event per time unit
     * and key (η = 1), for two keys. Per node, the items merged into its
     * instances inside `[0, R)` must be `costOf(w)` per key, and their sum
@@ -31,7 +52,7 @@ class ForestEvalSpec extends AnyFunSuite {
     val (bigR, keys) = (plan.bigR.toLong, 2L)
     val agg = if (plan.semantics == Semantics.CoveredBy) AggSpec.Min else AggSpec.Sum
     val events = for (t <- Iterator.range(0L, bigR); k <- Iterator.range(0L, keys)) yield (k, t, 1.0)
-    val result = ForestEval(plan, agg, events)
+    val result = onePass(plan, agg, events)
     val perNode = plan.allWindows.map { w =>
       val merged = result.merged(w).collect { case (a, n) if a + w.r <= bigR => n }.sum
       assert(merged % keys == 0, s"$hint: $w")
@@ -115,26 +136,23 @@ class ForestEvalSpec extends AnyFunSuite {
       math.round(rnd.nextDouble() * 100000) / 1000.0))
     val aggs = if (plan.semantics == Semantics.CoveredBy) Seq(AggSpec.Min) else Seq(AggSpec.Sum, AggSpec.Avg)
     aggs.foreach { agg =>
-      val onePass = ForestEval(plan, agg, events.iterator)
+      val direct = onePass(plan, agg, events)
       val parts = 1 + rnd.nextInt(8)
       val split = events.groupBy(_ => rnd.nextInt(parts)).values
       val g = ForestEval.paneLength(plan)
       val lengths = split.map(_ => if (rnd.nextBoolean()) 1L else g)
       val viaPanes = ForestEval.fromPanes(plan, agg,
-        split.zip(lengths).iterator.flatMap { case (part, len) => ForestEval.panes(len, agg, part.iterator) })
+        split.zip(lengths).iterator.flatMap { case (part, len) => panes(len, agg, part) })
       val h = s"$hint (${agg.name}, $parts partitions, pane lengths ${lengths.mkString(",")} of $g)"
-      val (want, got) = (keyed(onePass.rows), keyed(viaPanes.rows))
+      val (want, got) = (rows(direct), rows(viaPanes))
       assert(got.keySet == want.keySet, h)
       want.foreach { case (k, v) =>
         val tolerance = if (agg == AggSpec.Min) 0.0 else 1e-9 * math.max(1.0, math.abs(v))
         assert(math.abs(got(k) - v) <= tolerance, s"$h: $k: ${got(k)} vs $v")
       }
-      plan.allWindows.foreach(w => assert(viaPanes.merged(w) == onePass.merged(w), s"$h: $w"))
+      plan.allWindows.foreach(w => assert(viaPanes.merged(w) == direct.merged(w), s"$h: $w"))
     }
   }
-
-  private def keyed(rows: Iterator[ForestEval.Row]): Map[(Long, Long, Long, Long), Double] =
-    rows.map { case (r, s, k, a, v) => (r, s, k, a) -> v }.toMap
 
   test("panes from random partitions == one pass: Examples 6-8 and the batch-hopping windows") {
     Seq(Semantics.CoveredBy, Semantics.PartitionedBy).foreach { sem =>
@@ -272,12 +290,12 @@ class ForestEvalSpec extends AnyFunSuite {
             brute(w).map { case ((k, a), vs) => (w.r, w.s, k, a) -> fold(agg, vs) }
           }.toMap
           val split = events.groupBy(_ => rnd.nextInt(4)).values
-          Seq("one pass" -> ForestEval(plan, agg, events.iterator),
+          Seq("one pass" -> onePass(plan, agg, events),
               s"panes of length $g" -> ForestEval.fromPanes(plan, agg,
-                split.iterator.flatMap(part => ForestEval.panes(g, agg, part.iterator)))
+                split.iterator.flatMap(part => panes(g, agg, part)))
           ).foreach { case (path, result) =>
             val hint = s"round $round, ${agg.name}, $path, ${plan.parent}"
-            assert(keyed(result.rows) == want, s"$hint: rows")
+            assert(rows(result) == want, s"$hint: rows")
             plan.allWindows.foreach(w => assert(result.merged(w) == items(w), s"$hint: merged items of $w"))
           }
         }
@@ -288,15 +306,15 @@ class ForestEvalSpec extends AnyFunSuite {
   test("fromPanes refuses panes whose length does not divide paneLength") {
     val plan = CostModel.minCostPlan(hopping, Semantics.CoveredBy, 1)
     assert(ForestEval.paneLength(plan) == 10)
-    val panes = ForestEval.panes(4, AggSpec.Min, Iterator((0L, 5L, 1.0)))
-    val refused = intercept[IllegalArgumentException](ForestEval.fromPanes(plan, AggSpec.Min, panes))
+    val refused = intercept[IllegalArgumentException](
+      ForestEval.fromPanes(plan, AggSpec.Min, panes(4, AggSpec.Min, Seq((0L, 5L, 1.0)))))
     assert(refused.getMessage.contains("panes of length 4"))
   }
 
   test("no panes, no rows: an empty reduce partition") {
     val plan = CostModel.minCostPlan(hopping, Semantics.CoveredBy, 1)
     val result = ForestEval.fromPanes(plan, AggSpec.Min, Iterator.empty)
-    assert(result.rows.isEmpty && plan.allWindows.forall(result.merged(_).isEmpty))
+    assert(rows(result).isEmpty && plan.allWindows.forall(result.merged(_).isEmpty))
   }
 
   // ---- allocation ----------------------------------------------------------
@@ -305,7 +323,8 @@ class ForestEvalSpec extends AnyFunSuite {
     val threads = ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
     val (n, keys, panesPerKey, g) = (1000000, 200, 80, 1000L)
     // Three events per (key, pane), handed out again and again by an
-    // iterator that allocates nothing: what is measured is `panes` alone.
+    // iterator that allocates nothing: what is measured is the builder's
+    // `add` and `result` alone.
     val pool = Array.tabulate(3 * keys * panesPerKey) { i =>
       ((i % keys).toLong, (i / keys % panesPerKey) * g + i % 997, (i % 101).toDouble)
     }
@@ -315,7 +334,7 @@ class ForestEvalSpec extends AnyFunSuite {
       def next(): (Long, Long, Double) = { i += 1; pool(i % pool.length) }
     }
     def build(size: Int): Array[(Long, ForestEval.Panes)] =
-      ForestEval.panes(g, AggSpec.Sum, events(size)).toArray
+      panes(g, AggSpec.Sum, events(size)).toArray
     build(50000)
     val before = threads.getCurrentThreadAllocatedBytes
     val built = build(n)

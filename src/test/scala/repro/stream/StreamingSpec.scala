@@ -10,7 +10,8 @@ import repro.exec.{AggSpec, Executor}
 /** Structured Streaming integration: the rewritten (chained time-window)
   * query over a MemoryStream must produce, for every closed window, exactly
   * what the batch executor computes — i.e. the rewriting is sound under
-  * real streaming execution with watermarks, not just in batch.
+  * real streaming execution with watermarks, not just in batch: in one
+  * micro-batch, and over several with events arriving out of order.
   */
 class StreamingSpec extends SparkSpec {
   import spark.implicits._
@@ -23,9 +24,35 @@ class StreamingSpec extends SparkSpec {
     Seq.fill(n)((rnd.nextLong(horizon), 1L + rnd.nextLong(3), rnd.nextDouble() * 100))
   }
 
+  /** `events` cut, in order, into `batches` micro-batches of about equal
+    * size.
+    */
+  private def microBatches(events: Seq[(Long, Long, Double)], batches: Int): Seq[Seq[(Long, Long, Double)]] =
+    events.grouped((events.size + batches - 1) / batches).toSeq
+
+  /** `events` in time order, as they arrive in `batches` micro-batches,
+    * with about 10 % of each later batch's events moved to 1–5 s before
+    * that batch's first event: behind events already seen, but ahead of a
+    * 10-second watermark delay.
+    */
+  private def arrivingLate(events: Seq[(Long, Long, Double)], batches: Int,
+                           seed: Long): Seq[(Long, Long, Double)] = {
+    val rnd = new scala.util.Random(seed)
+    microBatches(events.sortBy(_._1), batches).zipWithIndex.flatMap {
+      case (batch, 0) => batch
+      case (batch, _) =>
+        val start = batch.head._1
+        batch.map { case e @ (_, k, v) => if (rnd.nextInt(10) == 0) (start - 1 - rnd.nextInt(5), k, v) else e }
+    }
+  }
+
+  /** Runs the `chains` of `windows` over `events`, fed in `batches`
+    * micro-batches in the given order under `watermarkDelay`.
+    */
   private def runStreaming(windows: Seq[Window], agg: AggSpec,
                            events: Seq[(Long, Long, Double)],
-                           withFactors: Boolean): Map[Window, Seq[(Long, Long, Double)]] = {
+                           withFactors: Boolean, batches: Int,
+                           watermarkDelay: String): Map[Window, Seq[(Long, Long, Double)]] = {
     val plan =
       if (withFactors) FactorWindows.minCostPlanWithFactors(windows, agg.semantics, 100)
       else CostModel.minCostPlan(windows, agg.semantics, 100)
@@ -35,15 +62,17 @@ class StreamingSpec extends SparkSpec {
       implicit val sqlCtx = spark.sqlContext
       val input = MemoryStream[(Timestamp, Long, Double)]
       val streamDf = input.toDF().toDF("ts", "k", "v")
-      val sinks = StreamingRewrite.chains(streamDf, plan, agg)
+      val sinks = StreamingRewrite.chains(streamDf, plan, agg, watermarkDelay)
       val queries = sinks.toSeq.zipWithIndex.map { case ((w, df), i) =>
-        val name = s"repro_stream_${w.r}_$i"
+        val name = s"repro_stream_${w.r}_${i}_$batches"
         w -> ((name, df.writeStream.format("memory").queryName(name)
           .outputMode("append").start()))
       }.toMap
       try {
-        input.addData(events.map { case (t, k, v) => (new Timestamp(t * 1000L), k, v) })
-        queries.values.foreach(_._2.processAllAvailable())
+        microBatches(events, batches).foreach { batch =>
+          input.addData(batch.map { case (t, k, v) => (new Timestamp(t * 1000L), k, v) })
+          queries.values.foreach(_._2.processAllAvailable())
+        }
         // Two sentinel batches push the watermark past every real window so
         // append mode finalizes them (the second batch flushes state closed
         // by the first sentinel's watermark).
@@ -76,9 +105,11 @@ class StreamingSpec extends SparkSpec {
   }
 
   private def check(windows: Seq[Window], agg: AggSpec, withFactors: Boolean,
-                    seed: Long): Unit = {
-    val events = eventList(400, seed)
-    val got = runStreaming(windows, agg, events, withFactors)
+                    seed: Long, batches: Int = 1): Unit = {
+    val events =
+      if (batches == 1) eventList(400, seed) else arrivingLate(eventList(400, seed), batches, seed)
+    val delay = if (batches == 1) "0 seconds" else "10 seconds"
+    val got = runStreaming(windows, agg, events, withFactors, batches, delay)
     val want = batchExpected(windows, agg, events)
     windows.foreach { w =>
       val (g, e) = (got(w), want(w))
@@ -100,6 +131,28 @@ class StreamingSpec extends SparkSpec {
     // {20,40} induces no factor; {20,30,40} re-introduces W(10,10).
     check(Seq(20L, 30L, 40L).map(Window.tumbling), AggSpec.Sum,
       withFactors = true, seed = 2)
+  }
+
+  test("streaming chained MIN over Example-1 windows equals batch over 3 micro-batches with late events") {
+    check(Seq(10L, 20L, 40L).map(Window.tumbling), AggSpec.Min,
+      withFactors = false, seed = 1, batches = 3)
+  }
+
+  test("streaming chained SUM with a factor window equals batch over 3 micro-batches with late events") {
+    check(Seq(20L, 30L, 40L).map(Window.tumbling), AggSpec.Sum,
+      withFactors = true, seed = 2, batches = 3)
+  }
+
+  test("chains over an int k have the rewritten plan's column names and types") {
+    implicit val sqlCtx = spark.sqlContext
+    val stream = MemoryStream[(Timestamp, Int, Double)].toDF().toDF("ts", "k", "v")
+    val ws = Seq(10L, 20L).map(Window.tumbling)
+    val plan = CostModel.minCostPlan(ws, Semantics.CoveredBy, 100)
+    val rewritten = Executor.rewritten(Seq((1L, 1, 2.0)).toDF("t", "k", "v"), plan, AggSpec.Min)
+    def types(df: org.apache.spark.sql.DataFrame) = df.schema.map(f => f.name -> f.dataType)
+    val chains = StreamingRewrite.chains(stream, plan, AggSpec.Min)
+    assert(chains.keySet == ws.toSet)
+    chains.values.foreach(df => assert(types(df) == types(rewritten)))
   }
 
   test("streaming chained AVG (algebraic state) equals batch") {
