@@ -18,12 +18,13 @@ object NumberTheory {
 /** The cost model of §3.2.1 and Algorithm 1 (§3.2.2).
   *
   * For a window set with hyper-period `R = lcm(r_i)` and steady event rate
-  * `η`, window `W_i` fires `n_i = 1 + (R − r_i)/s_i` times per period
-  * (Equation 1 / Figure 5). Computing an instance directly from the raw
-  * stream costs `η·r_i` processed events; computing it from sub-aggregates
-  * of an upstream window `W'` costs `M(W_i, W')` processed sub-aggregates
-  * (Observation 1). Algorithm 1 keeps, per window, the incoming WCG edge of
-  * minimum cost, yielding the min-cost WCG — a forest (Theorem 7).
+  * `η`, window `W_i` fires `n_i = 1 + ⌊(R − r_i)/s_i⌋` times per period
+  * (Equation 1 / Figure 5, on any window). Computing an instance directly
+  * from the raw stream costs `η·r_i` processed events; computing it from
+  * sub-aggregates of an upstream window `W'` costs `M(W_i, W')` processed
+  * sub-aggregates (Observation 1). Algorithm 1 keeps, per window, the
+  * incoming WCG edge of minimum cost, yielding the min-cost WCG — a forest
+  * (Theorem 7).
   *
   * Cost accounting for roots follows the paper's worked Examples 6–8: a
   * window computed from the raw stream (equivalently, parented at the
@@ -36,12 +37,12 @@ object CostModel {
   def hyperPeriod(windows: Seq[Window]): BigInt =
     NumberTheory.lcmAll(windows.map(w => BigInt(w.r)))
 
-  /** Recurrence count `n_i` (Equation 1) of `w` over period `R`. */
-  def recurrenceCount(w: Window, bigR: BigInt): BigInt = {
-    require((bigR - w.r) % w.s == 0,
-      s"recurrence count of $w not integral over R=$bigR")
-    1 + (bigR - w.r) / w.s
-  }
+  /** Recurrence count `n_i = 1 + ⌊(R − r_i)/s_i⌋` of `w` (0 if `R < r_i`):
+    * its instances `[m·s_i, m·s_i + r_i)` that end by `R`. On every window
+    * with `r_i ≡ 0 mod s_i` (footnote 4) it is Equation 1.
+    */
+  def recurrenceCount(w: Window, bigR: BigInt): BigInt =
+    (bigR - w.r + w.s).max(0) / w.s
 
   /** Cost of computing `w` from the raw stream: `n_w · η · r_w`. */
   def rootCost(w: Window, bigR: BigInt, eta: BigInt): BigInt =

@@ -38,11 +38,13 @@ object FactorWindows {
     *    under covered-by (Theorem 1 asks `s_W | r_W`, `s_f | r_j`). Under
     *    partitioned-by only `r_f = s_f` can pass: the downstream windows
     *    need a tumbling factor.
-    *  - Δ (Equation 2) is the linear `Σ n_j(1 + (r_j − r_f)/s_f)` plus a
-    *    concave quadratic in `r_f`: `(1 + (R − r_f)/s_f)·η·r_f` for the raw
-    *    stream, `(1 + (R − r_f)/s_f)·(1 + (r_f − r_W)/s_W)` for a real
-    *    target. So its minimum over any set of one slide's ranges sits at
-    *    the finest or coarsest one, and the `(Δ, −r, −s)` tie-break too.
+    *  - `s_f | r_f`, so `n_f = 1 + ⌊(R − r_f)/s_f⌋ = 1 + ⌊R/s_f⌋ − r_f/s_f`
+    *    with `⌊R/s_f⌋` fixed for a given slide: `n_f` is linear in `r_f`.
+    *    Δ (Equation 2) is then the linear `Σ n_j(1 + (r_j − r_f)/s_f)` plus
+    *    a concave quadratic in `r_f`: `n_f·η·r_f` for the raw stream,
+    *    `n_f·(1 + (r_f − r_W)/s_W)` for a real target. So its minimum over
+    *    any set of one slide's ranges sits at the finest or coarsest one,
+    *    and the `(Δ, −r, −s)` tie-break too.
     */
   def candidates(target: Option[Window], downstream: Seq[Window],
                  existing: Set[Window], semantics: Semantics): Seq[Window] = {

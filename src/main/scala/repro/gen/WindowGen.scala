@@ -9,8 +9,8 @@ import scala.util.Random
   *
   * The paper leaves `s_max`/`k_max` unspecified; defaults here are
   * `s_max = 10`, `k_max = 8` (documented in DESIGN.md). All generators keep
-  * the paper's standing assumption r ≡ 0 (mod s) (footnote 4), which makes
-  * every recurrence count integral.
+  * the paper's standing assumption r ≡ 0 (mod s) (footnote 4), as the
+  * figure sets do; the planner prices any other window as well.
   */
 final class WindowGen(seed: Long, val sMax: Long = 10, val kMax: Long = 8) {
   private val rnd = new Random(seed)

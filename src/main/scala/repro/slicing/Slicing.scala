@@ -6,9 +6,9 @@ import repro.core.{NumberTheory, Window}
   * edges of a sliced window recur with the window's period, so edge sets
   * are finite unions of these.
   */
-final case class Progression(a: Long, m: Long) {
+final case class Progression(a: BigInt, m: BigInt) {
   require(m > 0 && a >= 0 && a < m, s"bad progression a=$a m=$m")
-  def contains(t: Long): Boolean = t >= 0 && t % m == a
+  def contains(t: BigInt): Boolean = t >= 0 && t % m == a
 
   /** True iff every member of `this` is a member of `that`. */
   def subsetOf(that: Progression): Boolean =
@@ -34,7 +34,7 @@ object Slicing {
     * multiple of `g`.
     */
   def panedEdges(w: Window): Seq[Progression] =
-    Seq(Progression(0, NumberTheory.gcd(w.r, w.s).toLong))
+    Seq(Progression(0, gcd(w.r, w.s)))
 
   /** Paired slices: per period `s`, two slices of sizes `z2 = r mod s` and
     * `z1 = s − z2` (one slice when `s | r`); edges at residues
@@ -50,21 +50,17 @@ object Slicing {
   def pairedSliceCount(w: Window): Long = if (w.r % w.s == 0) 1 else 2
 
   /** Intersection of two residue classes via CRT: nonempty iff the residues
-    * agree modulo `gcd(m1, m2)`; then a single class mod `lcm(m1, m2)`.
+    * agree modulo `g = gcd(m1, m2)`; then the single class
+    * `x = a1 + m1·k (mod lcm(m1, m2))`, where `k` solves
+    * `(m1/g)·k ≡ (a2 − a1)/g (mod m2/g)` through the inverse of `m1/g`.
     */
   def intersect(p: Progression, q: Progression): Option[Progression] = {
-    val g = NumberTheory.gcd(p.m, q.m).toLong
-    if ((p.a - q.a) % g != 0) None
+    val g = gcd(p.m, q.m)
+    if ((q.a - p.a) % g != 0) None
     else {
-      val l = NumberTheory.lcm(p.m, q.m)
-      require(l <= Long.MaxValue / 2, s"modulus overflow composing $p and $q")
-      val m = l.toLong
-      // Solve x ≡ p.a (mod p.m), x ≡ q.a (mod q.m) by stepping p's class —
-      // at most q.m/g steps, tiny for our slide magnitudes.
-      val step = p.m
-      var x = p.a
-      while (x % q.m != q.a) x += step
-      Some(Progression(x % m, m))
+      val n = q.m / g
+      val k = (q.a - p.a) / g * (p.m / g).modInverse(n) % n
+      Some(Progression((p.a + p.m * k).mod(p.m * n), p.m * n))
     }
   }
 

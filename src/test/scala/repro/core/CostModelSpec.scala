@@ -37,9 +37,28 @@ class CostModelSpec extends AnyFunSuite with SeededProps {
     }
   }
 
-  test("recurrence count rejects non-integral configurations") {
-    assertThrows[IllegalArgumentException](
-      CostModel.recurrenceCount(Window(10, 3), BigInt(120)))
+  test("recurrence count equals the brute-force count on any window and period") {
+    // Off footnote 4 (r mod s != 0) and over periods that are no multiple
+    // of r, or shorter than r: the complete instances in [0, R).
+    sampled(500) { rnd => (anyWindow(rnd), rnd.nextLong(100)) } { case (w, r) =>
+      assert(CostModel.recurrenceCount(w, r) == BruteForce.recurrences(w, r), s"$w over R=$r")
+    }
+    assert(CostModel.recurrenceCount(Window(10, 3), BigInt(120)) == 37)
+  }
+
+  test("the planner prices {W(10,4), W(12,12)} (off footnote 4) under both semantics") {
+    // R = 60: W(10,4) has 13 complete instances, W(12,12) 5; neither
+    // covers the other. W(2,2) from the raw stream (30 instances) feeds
+    // both: 60 + 13·5 + 5·6 = 155.
+    val ws = Seq(Window(10, 4), Window.tumbling(12))
+    assert(CostModel.baselineCost(ws, 1) == 13 * 10 + 5 * 12)
+    Seq(Semantics.CoveredBy, Semantics.PartitionedBy).foreach { sem =>
+      val wcg = CostModel.minCostPlan(ws, sem, 1)
+      assert(wcg.isForest && wcg.roots.toSet == ws.toSet && wcg.totalCost == 190, s"$sem")
+      val fw = FactorWindows.minCostPlanWithFactors(ws, sem, 1)
+      assert(fw.isForest && fw.factorWindows == Vector(Window.tumbling(2)) && fw.totalCost == 155,
+        s"$sem")
+    }
   }
 
   // ---- costs --------------------------------------------------------------

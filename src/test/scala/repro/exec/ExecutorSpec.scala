@@ -368,14 +368,17 @@ class ExecutorSpec extends SparkSpec {
          |GROUP BY 1, 2, 3, 4""".stripMargin
     }.mkString("\nUNION ALL\n")
 
-  /** The factor-window plan of `ws` run by `rewritten` equals the baseline
-    * and DuckDB, on `horizon` time units of events in `ev`'s session, at
-    * the tolerance of `assertSameResults`: a hierarchical sum adds in
-    * another order than a flat one, so values may differ in the last bits.
+  /** The factor-window plan of `ws` (the Algorithm 1 plan if not
+    * `withFactors`) run by `rewritten` equals the baseline and DuckDB, on
+    * `horizon` time units of events in `ev`'s session, at the tolerance of
+    * `assertSameResults`: a hierarchical sum adds in another order than a
+    * flat one, so values may differ in the last bits.
     */
   private def checkAgainstOracle(ws: Seq[Window], agg: AggSpec, ev: DataFrame,
-                                 horizon: Long, hint: String): Unit = {
-    val plan = FactorWindows.minCostPlanWithFactors(ws, agg.semantics, 100)
+                                 horizon: Long, hint: String, withFactors: Boolean = true): Unit = {
+    val plan =
+      if (withFactors) FactorWindows.minCostPlanWithFactors(ws, agg.semantics, 100)
+      else CostModel.minCostPlan(ws, agg.semantics, 100)
     val rew = Executor.rewritten(ev, plan, agg)
     val rows = rew.collect().toSeq
     assertSameRows(Executor.baseline(ev, ws, agg).collect().toSeq, rows, s"$hint (agg=${agg.name})")
@@ -400,6 +403,15 @@ class ExecutorSpec extends SparkSpec {
       Seq(AggSpec.Sum, AggSpec.Count, AggSpec.Avg).foreach(agg =>
         checkAgainstOracle(ws, agg, ev, 240, s"partitioned-by seed=$seed $ws"))
     }
+  }
+
+  test("{W(10,4), W(12,12)}, off footnote 4: rewritten == baseline == DuckDB, MIN/SUM/AVG, with and without factor windows") {
+    val ws = Seq(Window(10, 4), Window.tumbling(12))
+    Seq(Semantics.CoveredBy, Semantics.PartitionedBy).foreach(sem =>
+      assert(FactorWindows.minCostPlanWithFactors(ws, sem, 100).factorWindows == Vector(Window.tumbling(2))))
+    val ev = events(1500, 240, keys = 3, seed = 19)
+    for (agg <- Seq(AggSpec.Min, AggSpec.Sum, AggSpec.Avg); withFactors <- Seq(false, true))
+      checkAgainstOracle(ws, agg, ev, 240, s"$ws factors=$withFactors", withFactors)
   }
 
   Seq(1, 16).foreach { partitions =>

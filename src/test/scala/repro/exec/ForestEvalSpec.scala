@@ -15,7 +15,7 @@ import scala.util.Random
   * the same rows and counts as one pass over the events. (Its results are
   * checked against the baseline plan and DuckDB in `ExecutorSpec`.)
   */
-class ForestEvalSpec extends AnyFunSuite {
+class ForestEvalSpec extends AnyFunSuite with SeededProps {
 
   private val ex1 = Seq(10L, 20L, 30L, 40L).map(Window.tumbling)
   private val ex7 = Seq(20L, 30L, 40L).map(Window.tumbling)
@@ -64,14 +64,6 @@ class ForestEvalSpec extends AnyFunSuite {
     assert(perNode.map(_._2).sum == plan.totalCost, hint)
   }
 
-  /** Whether every window's recurrence count over `R` is integral
-    * (footnote 4), so that the model prices it.
-    */
-  private def footnote4(ws: Seq[Window]): Boolean = {
-    val bigR = CostModel.hyperPeriod(ws)
-    ws.forall(w => (bigR - w.r) % w.s == 0)
-  }
-
   test("count property: Example 6 (both semantics), 7 and 8 at eta=1") {
     Seq(Semantics.CoveredBy, Semantics.PartitionedBy).foreach { sem =>
       val plan = CostModel.minCostPlan(ex1, sem, 1)
@@ -96,14 +88,24 @@ class ForestEvalSpec extends AnyFunSuite {
   Seq(("Figure 11", "random", Semantics.CoveredBy),
       ("Figure 12", "random-tumbling", Semantics.PartitionedBy)).foreach { case (figure, kind, sem) =>
     test(s"count property: $figure sets at eta=1, WCG and WCG-FW plans") {
-      val sets = EvalHarness.sets(kind).filter { case (_, ws) => footnote4(ws) }
-      assert(sets.nonEmpty)
-      sets.foreach { case (label, ws) =>
+      EvalHarness.sets(kind).foreach { case (label, ws) =>
         assertCountsMatchModel(CostModel.minCostPlan(ws, sem, 1), s"$kind/$label WCG")
         assertCountsMatchModel(FactorWindows.minCostPlanWithFactors(ws, sem, 1),
           s"$kind/$label WCG-FW")
       }
     }
+  }
+
+  test("count property: sampled sets of any windows (r mod s != 0 too), both semantics, WCG and WCG-FW") {
+    var offFootnote4 = 0
+    sampled(150) { rnd => Vector.fill(2 + rnd.nextInt(2))(anyWindow(rnd)).distinct } { ws =>
+      if (ws.exists(w => w.r % w.s != 0)) offFootnote4 += 1
+      Seq(Semantics.CoveredBy, Semantics.PartitionedBy).foreach { sem =>
+        assertCountsMatchModel(CostModel.minCostPlan(ws, sem, 1), s"$ws WCG ($sem)")
+        assertCountsMatchModel(FactorWindows.minCostPlanWithFactors(ws, sem, 1), s"$ws WCG-FW ($sem)")
+      }
+    }
+    assert(offFootnote4 >= 100, s"$offFootnote4 of 150 sets with r mod s != 0")
   }
 
   // ---- the pane path -------------------------------------------------------

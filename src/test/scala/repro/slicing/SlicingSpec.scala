@@ -59,6 +59,39 @@ class SlicingSpec extends AnyFunSuite with SeededProps {
     assert(Slicing.intersect(Progression(1, 6), Progression(0, 2)).isEmpty)
   }
 
+  test("CRT intersection equals the brute-force common members on small moduli") {
+    sampled(300) { rnd =>
+      def prog() = { val m = 1 + rnd.nextLong(30); Progression(rnd.nextLong(m), m) }
+      (prog(), prog())
+    } { case (p, q) =>
+      val l = NumberTheory.lcm(p.m, q.m)
+      val common = (0L until l.toLong).filter(t => p.contains(t) && q.contains(t))
+      assert(Slicing.intersect(p, q) == common.headOption.map(Progression(_, l)), s"$p ∩ $q")
+    }
+  }
+
+  test("CRT intersection at scale: coprime 10^9 and 10^9+7, and an lcm past 2^63") {
+    // The result's modulus is the lcm; its first few members lie in both
+    // classes, and their neighbours do not.
+    def check(p: Progression, q: Progression): Unit = {
+      val x = Slicing.intersect(p, q).get
+      assert(x.m == NumberTheory.lcm(p.m, q.m), s"$p ∩ $q = $x")
+      (0 until 5).map(i => x.a + x.m * i).foreach { t =>
+        assert(p.contains(t) && q.contains(t), s"$t of $p ∩ $q = $x")
+        assert(Seq(t - 1, t + 1).forall(u => !(p.contains(u) && q.contains(u))), s"$t of $p ∩ $q = $x")
+      }
+    }
+    val (m1, m2) = (BigInt(1000000000L), BigInt(1000000007L))
+    check(Progression(123456789, m1), Progression(987654321, m2))
+    check(Progression(m1 - 1, m1), Progression(0, m2))
+    // Slides 6·(2^31 − 1) and 10·(2^31 + 11): gcd 2, lcm 30·(2^31 − 1)(2^31 + 11) > 2^63.
+    val (s1, s2) = (BigInt(6) * (BigInt(2).pow(31) - 1), BigInt(10) * (BigInt(2).pow(31) + 11))
+    assert(NumberTheory.lcm(s1, s2) > BigInt(Long.MaxValue))
+    check(Progression(5, s1), Progression(7, s2))
+    check(Progression(s1 - 1, s1), Progression(s2 - 3, s2))
+    assert(Slicing.intersect(Progression(4, s1), Progression(7, s2)).isEmpty) // parity differs
+  }
+
   test("countUnion agrees between sieve and inclusion-exclusion") {
     sampled(100) { rnd =>
       val n = 1 + rnd.nextInt(5)
@@ -67,7 +100,7 @@ class SlicingSpec extends AnyFunSuite with SeededProps {
         Progression(rnd.nextLong(m), m)
       }
     } { progs =>
-      val period = NumberTheory.lcmAll(progs.map(p => BigInt(p.m)))
+      val period = NumberTheory.lcmAll(progs.map(_.m))
       val bySieve = Slicing.countUnion(progs, period) // one period
       // Brute force on the same period.
       val brute = (0L until period.toLong).count(t => progs.exists(_.contains(t)))

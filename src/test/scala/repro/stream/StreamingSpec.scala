@@ -47,7 +47,13 @@ class StreamingSpec extends SparkSpec {
   }
 
   /** Runs the `chains` of `windows` over `events`, fed in `batches`
-    * micro-batches in the given order under `watermarkDelay`.
+    * micro-batches in the given order under `watermarkDelay`. The queries
+    * share one `MemoryStream`, which drops a batch's data for every reader
+    * once any query commits it, and a query commits batch N when it starts
+    * batch N+1. No-data micro-batches are off, so a query starts N+1 only
+    * on the next `addData`, after every query has run N; with them on, a
+    * query's no-data batch after a watermark move could drop N while
+    * another query has yet to read it.
     */
   private def runStreaming(windows: Seq[Window], agg: AggSpec,
                            events: Seq[(Long, Long, Double)],
@@ -56,8 +62,10 @@ class StreamingSpec extends SparkSpec {
     val plan =
       if (withFactors) FactorWindows.minCostPlanWithFactors(windows, agg.semantics, 100)
       else CostModel.minCostPlan(windows, agg.semantics, 100)
-    val prevPartitions = spark.conf.get("spark.sql.shuffle.partitions")
-    spark.conf.set("spark.sql.shuffle.partitions", "3")
+    val settings = Seq("spark.sql.shuffle.partitions" -> "3",
+      "spark.sql.streaming.noDataMicroBatches.enabled" -> "false")
+    val previous = settings.map { case (key, _) => key -> spark.conf.getOption(key) }
+    settings.foreach { case (key, value) => spark.conf.set(key, value) }
     try {
       implicit val sqlCtx = spark.sqlContext
       val input = MemoryStream[(Timestamp, Long, Double)]
@@ -73,10 +81,10 @@ class StreamingSpec extends SparkSpec {
           input.addData(batch.map { case (t, k, v) => (new Timestamp(t * 1000L), k, v) })
           queries.values.foreach(_._2.processAllAvailable())
         }
-        // Two sentinel batches push the watermark past every real window so
-        // append mode finalizes them (the second batch flushes state closed
-        // by the first sentinel's watermark).
-        Seq(5000L, 6000L).foreach { t =>
+        // Sentinel batches far past the data: the first moves the watermark
+        // past every real window, and each later one lets one more forest
+        // level evict in append mode, one per level.
+        Seq.tabulate(plan.levels.size + 1)(i => 5000L + 1000L * i).foreach { t =>
           input.addData(Seq((new Timestamp(t * 1000L), 1L, 0.0)))
           queries.values.foreach(_._2.processAllAvailable())
         }
@@ -89,7 +97,10 @@ class StreamingSpec extends SparkSpec {
             .toSeq.sorted
         }
       } finally queries.values.foreach(_._2.stop())
-    } finally spark.conf.set("spark.sql.shuffle.partitions", prevPartitions)
+    } finally previous.foreach {
+      case (key, Some(value)) => spark.conf.set(key, value)
+      case (key, None)        => spark.conf.unset(key)
+    }
   }
 
   private def batchExpected(windows: Seq[Window], agg: AggSpec,
