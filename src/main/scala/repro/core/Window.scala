@@ -19,14 +19,6 @@ final case class Window(r: Long, s: Long) {
   /** The `m`-th interval `[m·s, m·s + r)` of the interval representation. */
   def interval(m: Long): (Long, Long) = (m * s, m * s + r)
 
-  /** All intervals `[a, b)` with `b ≤ horizon` (the "complete" instances
-    * within `[0, horizon]`, matching the recurrence-count convention of
-    * Figure 5): the instances whose ends must lie on slice edges for a
-    * slicing of the window to recombine exactly.
-    */
-  def intervalsWithin(horizon: Long): Seq[(Long, Long)] =
-    Iterator.from(0).map(m => interval(m.toLong)).takeWhile(_._2 <= horizon).toSeq
-
   /** Window coverage `this ≼ that` — *this* is covered by *that* (Def. 1):
     * every interval `[a,b)` of this window is the union of the intervals of
     * `that` falling inside `[a,b)`, anchored at both ends. Theorem 1 gives

@@ -6,9 +6,9 @@ import repro.gen.WindowGen
 /** Shared harness that regenerates the evaluation figures' data as text
   * tables. Each figure of §5.3 becomes one table: rows are the ten
   * randomly-generated window sets, columns the five techniques' costs over
-  * the common period. `panels` declares every panel once; the bench suites
-  * and the spark-submit jobs both read it and render through `render`, so
-  * they print the same tables.
+  * the common period. `panels` declares every panel once; the spark-submit
+  * jobs print it through `render`, and `TechniquesSpec` pins every cost
+  * they print.
   */
 object EvalHarness {
 
@@ -51,7 +51,7 @@ object EvalHarness {
     def title(eta: Long): String = s"$name (eta=$eta)"
   }
 
-  /** Every panel of Figures 11–15, as the jobs and the bench suites run them. */
+  /** Every panel of Figures 11–15, as the jobs print them. */
   val panels: Seq[Panel] = Seq(
     Panel("Figure 11", "random", Semantics.CoveredBy, Seq(1L, 10L, 100L)),
     Panel("Figure 12", "random-tumbling", Semantics.PartitionedBy, Seq(1L, 10L, 100L)),

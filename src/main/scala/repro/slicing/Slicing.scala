@@ -46,9 +46,6 @@ object Slicing {
     else Seq(Progression(0, w.s), Progression(z2, w.s))
   }
 
-  /** Number of slices per period `s` of the paired window (|Y| ∈ {1, 2}). */
-  def pairedSliceCount(w: Window): Long = if (w.r % w.s == 0) 1 else 2
-
   /** Intersection of two residue classes via CRT: nonempty iff the residues
     * agree modulo `g = gcd(m1, m2)`; then the single class
     * `x = a1 + m1·k (mod lcm(m1, m2))`, where `k` solves

@@ -43,6 +43,14 @@ object BruteForce {
   /** Recurrence count: instances `[m·s, m·s + r)` with `m·s + r ≤ R`. */
   def recurrences(w: Window, bigR: Long): Long =
     (0L to bigR / w.s).count(m => m * w.s + w.r <= bigR).toLong
+
+  /** All intervals `[a, b)` of `w` with `b ≤ horizon` (the complete
+    * instances within `[0, horizon]`, as the recurrence count counts them):
+    * the instances whose ends must lie on slice edges for a slicing of the
+    * window to recombine exactly.
+    */
+  def intervalsWithin(w: Window, horizon: Long): Seq[(Long, Long)] =
+    Iterator.from(0).map(m => w.interval(m.toLong)).takeWhile(_._2 <= horizon).toSeq
 }
 
 class WindowSpec extends AnyFunSuite with SeededProps {
@@ -72,8 +80,9 @@ class WindowSpec extends AnyFunSuite with SeededProps {
   }
 
   test("intervalsWithin returns complete instances only") {
-    assert(Window(10, 10).intervalsWithin(35) == Seq((0L, 10L), (10L, 20L), (20L, 30L)))
-    assert(Window(10, 2).intervalsWithin(14) == Seq((0L, 10L), (2L, 12L), (4L, 14L)))
+    assert(BruteForce.intervalsWithin(Window(10, 10), 35) ==
+      Seq((0L, 10L), (10L, 20L), (20L, 30L)))
+    assert(BruteForce.intervalsWithin(Window(10, 2), 14) == Seq((0L, 10L), (2L, 12L), (4L, 14L)))
   }
 
   test("k = r/s requires divisibility") {

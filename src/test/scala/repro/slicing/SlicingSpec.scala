@@ -1,7 +1,8 @@
 package repro.slicing
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{NumberTheory, SeededProps, Window}
+import repro.core.{BruteForce, NumberTheory, SeededProps, Window}
+import repro.jobs.Table1Job
 
 class SlicingSpec extends AnyFunSuite with SeededProps {
 
@@ -16,19 +17,17 @@ class SlicingSpec extends AnyFunSuite with SeededProps {
   test("paired edges: two slices z2 = r mod s, z1 = s - z2 per period") {
     assert(Slicing.pairedEdges(Window(10, 4)).toSet ==
       Set(Progression(0, 4), Progression(2, 4)))
-    assert(Slicing.pairedSliceCount(Window(10, 4)) == 2)
   }
 
   test("paired edges collapse to one slice for tumbling-aligned windows (s | r)") {
     assert(Slicing.pairedEdges(Window(12, 4)) == Seq(Progression(0, 4)))
-    assert(Slicing.pairedSliceCount(Window(12, 4)) == 1)
     assert(Slicing.pairedEdges(Window(8, 8)) == Seq(Progression(0, 8)))
   }
 
   test("paired never has more slices than paned (Krishnamurthy et al.)") {
     sampled(300)(anyWindow(_)) { w =>
       val panedPerPeriod = w.s / NumberTheory.gcd(w.r, w.s).toLong
-      assert(Slicing.pairedSliceCount(w) <= panedPerPeriod, s"$w")
+      assert(Slicing.pairedEdges(w).size <= panedPerPeriod, s"$w")
     }
   }
 
@@ -149,6 +148,43 @@ class SlicingSpec extends AnyFunSuite with SeededProps {
     assert(Slicing.sharedPaired(ex1, 1).total == sp.total) // tumbling: same slices
   }
 
+  // S, then (partial, final) of the unshared paned, unshared paired, shared
+  // paned and shared paired rows, of each set Table1Job prints, at eta=1.
+  // Example-1 set: as derived in the tests above. Hopping set {W(10,2),
+  // W(12,4), W(30,6), W(16,8)}: S = lcm(2,4,6,8) = 24, partial nT = 4·24
+  // unshared and T = 24 shared; unshared paned final Σ (S/s)(r/g) with
+  // g = 2, 4, 6, 8 is 12·5 + 6·3 + 4·5 + 3·2 = 104; unshared paired final
+  // Σ (S/s)⌈2r/s⌉ = 12·10 + 6·6 + 4·10 + 3·4 = 208; shared final E·Σ r/s
+  // with E = 12 composed edges (the multiples of 2) is 12·(5+3+5+2) = 180
+  // for paned and paired alike.
+  private val table1 = Map(
+    "Example-1 tumbling set" -> (120, Seq((480, 25), (480, 50), (120, 48), (120, 48))),
+    "hopping set"            -> (24, Seq((96, 104), (96, 208), (24, 180), (24, 180))))
+
+  test("Table 1 at eta=1: every row Table1Job prints on each set") {
+    assert(Table1Job.sets.map(_._1).toSet == table1.keySet)
+    Table1Job.sets.foreach { case (title, ws) =>
+      val (s, want) = table1(title)
+      assert(Slicing.slicingPeriod(ws) == s, title)
+      assert(Table1Job.rows(ws, 1).map { case (_, c) => (c.partial, c.finalAgg) } ==
+        want.map { case (p, f) => (BigInt(p), BigInt(f)) }, title)
+    }
+  }
+
+  test("Table 1 partial costs scale with eta, final costs do not") {
+    for ((title, ws) <- Table1Job.sets; eta <- Table1Job.etas :+ 9L) {
+      Table1Job.rows(ws, eta).zip(Table1Job.rows(ws, 1)).foreach { case ((row, c), (_, c1)) =>
+        assert(c.partial == c1.partial * eta && c.finalAgg == c1.finalAgg, s"$title/$row eta=$eta")
+      }
+    }
+  }
+
+  test("Table 1 unshared paired rounds 2r/s up: 4·7 + 3·6 on {W(10,3), W(11,4)}") {
+    // S = 12: ⌈20/3⌉ = 7 slices per W(10,3) instance, ⌈22/4⌉ = 6 per W(11,4).
+    val c = Slicing.unsharedPaired(Seq(Window(10, 3), Window(11, 4)), 1)
+    assert((c.partial, c.finalAgg) == ((BigInt(2 * 12), BigInt(4 * 7 + 3 * 6))))
+  }
+
   test("shared paired partial cost is eta*S regardless of window count") {
     sampled(100) { rnd => alignedSet(rnd, 4) } { ws =>
       Seq(BigInt(1), BigInt(50)).foreach { eta =>
@@ -169,7 +205,7 @@ class SlicingSpec extends AnyFunSuite with SeededProps {
     sampled(100) { rnd => alignedSet(rnd, 5) } { ws =>
       val s = Slicing.slicingPeriod(ws)
       val e = Slicing.countUnion(ws.flatMap(Slicing.pairedEdges), s)
-      val bound = ws.map(w => (s / w.s) * Slicing.pairedSliceCount(w)).sum
+      val bound = ws.map(w => (s / w.s) * Slicing.pairedEdges(w).size).sum
       assert(e <= bound && e >= s / BigInt(ws.map(_.s).max))
     }
   }
@@ -183,7 +219,7 @@ class SlicingSpec extends AnyFunSuite with SeededProps {
     */
   private def aligned(ws: Seq[Window], edges: Window => Seq[Progression], horizon: Long): Boolean = {
     val composed = ws.flatMap(edges)
-    ws.forall(_.intervalsWithin(horizon).forall { case (a, b) =>
+    ws.forall(BruteForce.intervalsWithin(_, horizon).forall { case (a, b) =>
       composed.exists(_.contains(a)) && composed.exists(_.contains(b))
     })
   }
