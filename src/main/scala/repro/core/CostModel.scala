@@ -69,9 +69,9 @@ object CostModel {
   /** Algorithm 1: the min-cost WCG over `user ∪ factor` windows, with the
     * hyper-period taken over the *user* windows (factor windows are
     * auxiliary; their ranges divide into the user hyper-period by
-    * construction, see §4.2). Factor windows that end up feeding no other
-    * window are pruned — they would add cost without being part of the
-    * query result.
+    * construction, see §4.2). Factor windows from which no parent chain
+    * leads to a user window are pruned — they would add cost without being
+    * part of the query result.
     */
   def minCostPlan(user: Seq[Window], factor: Seq[Window], semantics: Semantics,
                   eta: BigInt): WcgPlan = {
@@ -93,18 +93,13 @@ object CostModel {
       w -> best._2
     }.toMap
 
-    // Prune factor windows nobody reads from (iteratively: removing one may
-    // orphan another factor window upstream of it).
-    var alive = parentOf
-    var changed = true
-    while (changed) {
-      val used = alive.values.flatten.toSet
-      val dead = factorV.filter(f => alive.contains(f) && !used.contains(f))
-      changed = dead.nonEmpty
-      alive = alive -- dead
-    }
-
-    WcgPlan(userV, factorV.filter(alive.contains), alive, semantics, eta, bigR)
+    // Keep a factor window iff it is an ancestor of a user window. Coverage
+    // is a partial order (Theorem 2), so every parent chain ends at the
+    // stream.
+    val ancestors = userV.flatMap(u =>
+      Iterator.iterate(parentOf(u))(_.flatMap(parentOf)).takeWhile(_.isDefined).flatten).toSet
+    WcgPlan(userV, factorV.filter(ancestors), parentOf -- factorV.filterNot(ancestors),
+      semantics, eta, bigR)
   }
 
   /** Algorithm 1 on the plain window set (no factor windows). */

@@ -13,9 +13,6 @@ final case class Window(r: Long, s: Long) {
   /** True iff this is a tumbling window (`s = r`). */
   def isTumbling: Boolean = r == s
 
-  /** `k = r/s`, the overlap factor used throughout §4 (defined when s | r). */
-  def k: Long = { require(r % s == 0, s"r=$r not a multiple of s=$s"); r / s }
-
   /** The `m`-th interval `[m·s, m·s + r)` of the interval representation. */
   def interval(m: Long): (Long, Long) = (m * s, m * s + r)
 

@@ -7,10 +7,11 @@ import scala.util.Random
   * StarGen, and RandomGraphGen (Algorithm 6), each with a tumbling-only
   * variant for the "partitioned by" experiments. Deterministic in `seed`.
   *
-  * The paper leaves `s_max`/`k_max` unspecified; defaults here are
-  * `s_max = 10`, `k_max = 8` (documented in DESIGN.md). All generators keep
-  * the paper's standing assumption r ≡ 0 (mod s) (footnote 4), as the
-  * figure sets do; the planner prices any other window as well.
+  * The paper leaves `s_min`/`s_max`/`k_max` unspecified; here `s_min = 2`
+  * and the defaults are `s_max = 10`, `k_max = 8` (documented in DESIGN.md).
+  * All generators keep the paper's standing assumption r ≡ 0 (mod s)
+  * (footnote 4), as the figure sets do; the planner prices any other window
+  * as well.
   */
 final class WindowGen(seed: Long, val sMax: Long = 10, val kMax: Long = 8) {
   private val rnd = new Random(seed)
@@ -19,87 +20,74 @@ final class WindowGen(seed: Long, val sMax: Long = 10, val kMax: Long = 8) {
   private def uniform(lo: Long, hi: Long): Long =
     lo + (rnd.nextDouble() * (hi - lo + 1)).toLong.min(hi - lo)
 
-  /** Algorithm 5: `s ← Random(sMin, sMax)`, `r ← Random({s, 2s, …, kMax·s})`. */
-  def randomWindow(sMin: Long = 2): Window = {
-    val s = uniform(sMin, math.max(sMin, sMax))
-    val k = uniform(1, kMax)
-    Window(k * s, s)
+  /** Algorithm 5: `s ← Random(2, sMax)`, `r ← Random({s, 2s, …, kMax·s})`. */
+  def randomWindow(): Window = {
+    val s = uniform(2, math.max(2, sMax))
+    Window(uniform(1, kMax) * s, s)
   }
 
   /** Algorithm 5 restricted to tumbling windows: `W⟨r, r⟩` with the same
     * range distribution (`r = k·s`).
     */
-  def randomTumbling(sMin: Long = 2): Window = {
-    val w = randomWindow(sMin)
-    Window.tumbling(w.r)
+  def randomTumbling(): Window = Window.tumbling(randomWindow().r)
+
+  /** A window of slide `s` whose range is one of the `spread + 1` multiples
+    * of `s` just above `r`. By Theorem 1 it is covered by every window `u`
+    * with `u.r ≤ r`, `u.s | u.r` and `u.s | s`.
+    */
+  private def above(r: Long, s: Long, spread: Long): Window = {
+    val c = uniform(r / s + 1, r / s + 1 + spread)
+    Window(c * s, s)
   }
 
-  private def distinctSet(n: Int, gen: () => Window): Vector[Window] = {
-    val out = scala.collection.mutable.LinkedHashSet.empty[Window]
-    var guard = 0
-    while (out.size < n && guard < 10000) { out += gen(); guard += 1 }
-    require(out.size == n, s"could not generate $n distinct windows")
-    out.toVector
+  /** The draw loop of every generator: from `prefix`, each try adds the
+    * window `step` draws from the windows so far, if any and if new, until
+    * there are `n`; gives up after `tries` tries.
+    */
+  private def draw(what: String, n: Int, prefix: Vector[Window] = Vector.empty,
+                   tries: Int = 10000)(step: Vector[Window] => Option[Window]): Vector[Window] = {
+    var out = prefix
+    var t = 0
+    while (out.size < n && t < tries) {
+      t += 1
+      step(out).filterNot(out.contains).foreach(w => out :+= w)
+    }
+    require(out.size == n, s"could not generate $what")
+    out
   }
 
   /** RandomGen: `n` distinct windows via Algorithm 5. */
-  def randomSet(n: Int): Vector[Window] = distinctSet(n, () => randomWindow())
+  def randomSet(n: Int): Vector[Window] =
+    draw(s"$n distinct windows", n)(_ => Some(randomWindow()))
 
   /** RandomGen, tumbling variant. */
   def randomTumblingSet(n: Int): Vector[Window] =
-    distinctSet(n, () => randomTumbling())
+    draw(s"$n distinct windows", n)(_ => Some(randomTumbling()))
 
-  /** ChainGen: windows `W_1, …, W_n` with `W_{i+1} ≼ W_i` (each covered by
-    * its predecessor). The next slide is a small multiple of the previous
-    * one and the next range satisfies both the coverage congruence and
-    * r ≡ 0 (mod s).
+  /** ChainGen: windows `W_1, …, W_n` with `W_{i+1} ≼ W_i`: the last slide,
+    * doubled at random while slides stay small, and one of the four ranges
+    * of that slide just above the last range.
     */
-  def chainSet(n: Int): Vector[Window] = {
-    var w = randomWindow()
-    val out = scala.collection.mutable.LinkedHashSet(w)
-    var guard = 0
-    while (out.size < n && guard < 10000) {
-      guard += 1
-      val a = if (w.s >= 4 * sMax) 1L else uniform(1, 2) // keep slides bounded
-      val s2 = w.s * a
-      val cMin = w.k / a + 1 // ensures r2 = c·s2 > r and (r2 − r) ≡ 0 (mod s)
-      val c = uniform(cMin, cMin + 3)
-      val w2 = Window(c * s2, s2)
-      if (w2.coveredBy(w) && !out.contains(w2)) { out += w2; w = w2 }
+  def chainSet(n: Int): Vector[Window] =
+    draw(s"chain of $n windows", n, Vector(randomWindow())) { out =>
+      val w = out.last
+      Some(above(w.r, w.s * (if (w.s >= 4 * sMax) 1L else uniform(1, 2)), 3))
     }
-    require(out.size == n, s"could not generate chain of $n windows")
-    out.toVector
-  }
 
   /** ChainGen, tumbling variant: each range a proper multiple of the
     * previous (tumbling coverage ⇔ range divisibility).
     */
-  def chainTumblingSet(n: Int): Vector[Window] = {
-    var w = randomTumbling()
-    val out = scala.collection.mutable.LinkedHashSet(w)
-    while (out.size < n) {
-      val w2 = Window.tumbling(w.r * uniform(2, 4))
-      out += w2; w = w2
+  def chainTumblingSet(n: Int): Vector[Window] =
+    draw(s"tumbling chain of $n windows", n, Vector(randomTumbling())) { out =>
+      Some(Window.tumbling(out.last.r * uniform(2, 4)))
     }
-    out.toVector
-  }
 
   /** StarGen: `W_2, …, W_n` each covered by the hub `W_1`. */
   def starSet(n: Int): Vector[Window] = {
     val hub = randomWindow()
-    val out = scala.collection.mutable.LinkedHashSet(hub)
-    var guard = 0
-    while (out.size < n && guard < 10000) {
-      guard += 1
-      val a = uniform(1, 3)
-      val s2 = hub.s * a
-      val cMin = hub.k / a + 1
-      val c = uniform(cMin, cMin + kMax)
-      val w2 = Window(c * s2, s2)
-      if (w2.coveredBy(hub) && !out.contains(w2)) out += w2
+    draw(s"star of $n windows", n, Vector(hub)) { _ =>
+      Some(above(hub.r, hub.s * uniform(1, 3), kMax))
     }
-    require(out.size == n, s"could not generate star of $n windows")
-    out.toVector
   }
 
   /** StarGen, tumbling variant: every satellite range a multiple of the
@@ -107,15 +95,9 @@ final class WindowGen(seed: Long, val sMax: Long = 10, val kMax: Long = 8) {
     */
   def starTumblingSet(n: Int): Vector[Window] = {
     val hub = randomTumbling()
-    val out = scala.collection.mutable.LinkedHashSet(hub)
-    var guard = 0
-    while (out.size < n && guard < 10000) {
-      guard += 1
-      val w2 = Window.tumbling(hub.r * uniform(2, 2 * kMax))
-      if (!out.contains(w2)) out += w2
+    draw(s"tumbling star of $n windows", n, Vector(hub)) { _ =>
+      Some(Window.tumbling(hub.r * uniform(2, 2 * kMax)))
     }
-    require(out.size == n, s"could not generate tumbling star of $n windows")
-    out.toVector
   }
 
   /** Algorithm 6: a DAG of windows grouped into `levels` levels — the base
@@ -128,50 +110,26 @@ final class WindowGen(seed: Long, val sMax: Long = 10, val kMax: Long = 8) {
     */
   def dagSet(levels: Int, base: Int, delta: Int, p: Double): Vector[Window] = {
     require(levels >= 1 && base >= 1)
-    val all = scala.collection.mutable.LinkedHashSet.empty[Window]
-
-    // Line 5/16 of Algorithm 6: the new window must not be *covered by* an
-    // existing same-level window (one direction, as in the paper).
-    def notCoveredWithin(w: Window, level: Seq[Window]): Boolean =
-      level.forall(u => !w.coveredBy(u))
-
-    // Base level L0.
-    var prev = Vector.empty[Window]
-    var guard = 0
-    while (prev.size < base && guard < 10000) {
-      guard += 1
-      val w = randomWindow()
-      if (notCoveredWithin(w, prev) && !all.contains(w)) { prev :+= w; all += w }
-    }
-    require(prev.size == base, "could not generate DAG base level")
-
-    for (l <- 1 until levels) {
-      val want = base + delta * l
-      var cur = Vector.empty[Window]
-      var g2 = 0
-      while (cur.size < want && g2 < 50000) {
-        g2 += 1
-        val subset = prev.filter(_ => rnd.nextDouble() < p)
-        if (subset.nonEmpty) {
-          val sBase = NumberTheory.lcmAll(subset.map(w => BigInt(w.s)))
-          // Slide multiplier 1/2/3 gives incomparable slides within a
-          // level; the cap keeps hyper-periods manageable.
-          if (sBase <= 64 * sMax) {
-            val s2 = (sBase * uniform(1, 3)).toLong
-            val rMax = subset.map(_.r).max
-            val cMin = rMax / s2 + 1
-            val c = uniform(cMin, cMin + kMax)
-            val w = Window(c * s2, s2)
-            val covered = subset.forall(u => w.coveredBy(u))
-            if (covered && notCoveredWithin(w, cur) && !all.contains(w)) {
-              cur :+= w; all += w
-            }
-          }
-        }
+    // One level of `size` windows after the windows `done` of the levels
+    // below. Lines 5/16 of Algorithm 6: a new window must not be *covered
+    // by* a window of its own level (one direction, as in the paper).
+    def level(done: Vector[Window], size: Int, tries: Int, what: String)(
+        next: => Option[Window]): Vector[Window] =
+      draw(what, done.size + size, done, tries) { out =>
+        next.filter(w => out.drop(done.size).forall(u => !w.coveredBy(u)))
       }
-      require(cur.size == want, s"could not generate DAG level $l")
-      prev = cur
+
+    val l0 = level(Vector.empty, base, 10000, "DAG base level")(Some(randomWindow()))
+    (1 until levels).foldLeft(l0) { (done, l) =>
+      val prev = done.takeRight(base + delta * (l - 1))
+      level(done, base + delta * l, 50000, s"DAG level $l") {
+        val subset = prev.filter(_ => rnd.nextDouble() < p)
+        val sBase = NumberTheory.lcmAll(subset.map(w => BigInt(w.s)))
+        // Slide multiplier 1/2/3 gives incomparable slides within a level;
+        // the cap keeps hyper-periods manageable.
+        Option.when(subset.nonEmpty && sBase <= 64 * sMax)(
+          above(subset.map(_.r).max, (sBase * uniform(1, 3)).toLong, kMax))
+      }
     }
-    all.toVector
   }
 }

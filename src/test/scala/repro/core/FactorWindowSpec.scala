@@ -17,7 +17,8 @@ class FactorWindowSpec extends AnyFunSuite with SeededProps {
     downstream match {
       case ds if ds.sizeIs >= 2 => true
       case Seq(w1) =>
-        val k1 = w1.k
+        require(w1.r % w1.s == 0, s"Algorithm 3 needs k = r/s, got $w1")
+        val k1 = w1.r / w1.s
         val m1 = bigR / w1.r
         // m1 = 1 makes λ = n1/m1 = 1 and Equation 7 infeasible (the paper's
         // proof of Theorem 8 notes this degenerate case): no help.

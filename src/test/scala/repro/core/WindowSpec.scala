@@ -85,11 +85,6 @@ class WindowSpec extends AnyFunSuite with SeededProps {
     assert(BruteForce.intervalsWithin(Window(10, 2), 14) == Seq((0L, 10L), (2L, 12L), (4L, 14L)))
   }
 
-  test("k = r/s requires divisibility") {
-    assert(Window(10, 2).k == 5)
-    assertThrows[IllegalArgumentException](Window(10, 3).k)
-  }
-
   // ---- Example 2 / 3: coverage -------------------------------------------
 
   test("Example 2/3: W(10,2) is covered by W(8,2)") {

@@ -185,6 +185,18 @@ class SlicingSpec extends AnyFunSuite with SeededProps {
     assert((c.partial, c.finalAgg) == ((BigInt(2 * 12), BigInt(4 * 7 + 3 * 6))))
   }
 
+  test("unshared paired prices ceil(2r/s), not the slices its paired edges give an instance") {
+    // The paired edges cut an instance [0, r) into 2⌊r/s⌋ + 1 slices when
+    // s ∤ r and r/s when s | r; Table 1's ⌈2r/s⌉ is kept (DESIGN.md).
+    for (s <- 1L to 12L; r <- s until 40L) {
+      val w = Window(r, s)
+      val spanned = (0L until r).count(t => Slicing.pairedEdges(w).exists(_.contains(t)))
+      val priced = Slicing.unsharedPaired(Seq(w), 1).finalAgg // S = s: one instance
+      if (r % s == 0) assert(priced == 2 * spanned, s"$w")
+      else assert(priced - spanned == (if (2 * (r % s) > s) 1 else 0), s"$w")
+    }
+  }
+
   test("shared paired partial cost is eta*S regardless of window count") {
     sampled(100) { rnd => alignedSet(rnd, 4) } { ws =>
       Seq(BigInt(1), BigInt(50)).foreach { eta =>
