@@ -102,11 +102,11 @@ final class WindowGen(seed: Long, val sMax: Long = 10, val kMax: Long = 8) {
 
   /** Algorithm 6: a DAG of windows grouped into `levels` levels — the base
     * level has `base` windows, each level above adds `delta` more; a window
-    * at level l covers a random subset (probability `p`) of level l−1.
-    * Within a level no window covers another. The new slide is a multiple
-    * of the lcm of the chosen subset's slides (DESIGN.md notes this
-    * tightening of `RandomWindow(s_min, …)`, necessary for the intended
-    * coverage edges to exist).
+    * at level l is covered by each window of a random subset (probability
+    * `p`) of level l−1, and by no earlier window of its own level. The new
+    * slide is a multiple of the lcm of the chosen subset's slides (DESIGN.md
+    * notes this tightening of `RandomWindow(s_min, …)`, necessary for the
+    * intended coverage edges to exist).
     */
   def dagSet(levels: Int, base: Int, delta: Int, p: Double): Vector[Window] = {
     require(levels >= 1 && base >= 1)

@@ -90,6 +90,15 @@ class WindowGenSpec extends AnyFunSuite {
       val ws = gen(seed).dagSet(3, 2, 2, 0.5)
       val edges = Wcg(ws, Semantics.CoveredBy).edges
       assert(edges.nonEmpty, s"DAG from seed $seed has no coverage edges")
+      // Every window above the base is covered by one of the level below
+      // (Theorem 1, by construction), and by no earlier one of its own.
+      val levels = Seq(0, 2, 6, 12).sliding(2).map { case Seq(a, b) => ws.slice(a, b) }.toSeq
+      levels.sliding(2).foreach { case Seq(below, level) =>
+        level.zipWithIndex.foreach { case (w, i) =>
+          assert(below.exists(w.coveredBy), s"$w covered by nothing in $below (seed $seed)")
+          assert(!level.take(i).exists(w.coveredBy), s"$w covered within $level (seed $seed)")
+        }
+      }
     }
   }
 
